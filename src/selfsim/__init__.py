@@ -26,6 +26,7 @@ from .measure import (
     cdf_consistency,
     coded_interval,
     coded_interval_mass,
+    coded_intervals,
     measure_from_function,
     sample,
 )
@@ -43,7 +44,6 @@ from .pwl import PiecewiseLinearFn
 from .simop import (
     BoundaryAnchors,
     Mesh,
-    SegmentCode,
     apply_G,
     boundary_anchors,
     build_mesh,

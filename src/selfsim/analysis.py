@@ -25,7 +25,7 @@ from .params import (
     validate,
     weighted_pair_norm,
 )
-from .simop import boundary_anchors, mesh_code_values
+from .simop import boundary_anchors, mesh_code_values, require_bounded
 
 DEFAULT_TOL = 1e-9
 
@@ -49,14 +49,8 @@ class RegularityVerdict:
 
 
 def _witness(condition: str, index=None, residual=None, point=None) -> dict:
-    w = {"condition": condition}
-    if index is not None:
-        w["index"] = index
-    if residual is not None:
-        w["residual"] = residual
-    if point is not None:
-        w["point"] = point
-    return w
+    w = {"condition": condition, "index": index, "residual": residual, "point": point}
+    return {key: value for key, value in w.items() if value is not None}
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +109,6 @@ def norm_bound_fractional(system: SimilaritySystem, p: float) -> NormBound:
 
 def norm_bound_infinity(system: SimilaritySystem) -> NormBound:
     """Sup-norm bound max_k(|c_k|+|beta_k|) / (1 - max_k |d_k|)."""
-    validate(system)
     r_inf = contraction_factor(system, math.inf).r_p
     if r_inf >= 1.0:
         raise NotContractive(f"r_inf = {r_inf} >= 1")
@@ -217,8 +210,7 @@ def monotonicity_classify(
     found.
     """
     validate(system)
-    if max(abs(dk) for dk in system.d) >= 1.0:
-        raise Unbounded("some |d_k| >= 1: bounded fixed point does not exist")
+    require_bounded(system)
     anchors = boundary_anchors(system)
     f0, f1 = anchors.f0, anchors.f1
 
@@ -254,6 +246,20 @@ def monotonicity_classify(
     return RegularityVerdict("monotonicity", "indeterminate")
 
 
+def normalization_violations(system: SimilaritySystem, tol: float) -> list:
+    """Which of c = 0, bounded, f0 = 0 and f1 = 1 the system violates."""
+    violated = [] if all(ck == 0.0 for ck in system.c) else ["c=0"]
+    try:
+        anchors = boundary_anchors(system)
+    except Unbounded:
+        return violated + ["bounded"]
+    if abs(anchors.f0) > tol:
+        violated.append("f0=0")
+    if abs(anchors.f1 - 1.0) > tol:
+        violated.append("f1=1")
+    return violated
+
+
 def variation_criterion(system: SimilaritySystem, tol: float = DEFAULT_TOL):
     """Bounded-variation discriminant D = sum |d_k| for normalized systems.
 
@@ -261,20 +267,8 @@ def variation_criterion(system: SimilaritySystem, tol: float = DEFAULT_TOL):
     (which forces sum d_k = 1).  Returns (D, verdict): bounded variation
     (total variation 1) iff D <= 1, unbounded variation iff D > 1.
     """
-    validate(system)
-    violated = []
-    if not continuity_check(system, tol).holds:
-        violated.append("continuity")
-    if any(ck != 0.0 for ck in system.c):
-        violated.append("c=0")
-    try:
-        anchors = boundary_anchors(system)
-        if abs(anchors.f0) > tol:
-            violated.append("f0=0")
-        if abs(anchors.f1 - 1.0) > tol:
-            violated.append("f1=1")
-    except Unbounded:
-        violated.append("bounded")
+    violated = [] if continuity_check(system, tol).holds else ["continuity"]
+    violated += normalization_violations(system, tol)
     if violated:
         raise NotApplicable(violated)
     D = math.fsum(abs(dk) for dk in system.d)

@@ -14,7 +14,7 @@ import sys
 
 from . import analysis, measure as measure_mod, presets, simop, solver
 from .errors import SelfSimError
-from .paramfile import read_system, system_to_dict, write_system
+from .paramfile import read_system, write_system
 from .params import contraction_factor, validate
 
 
@@ -24,10 +24,8 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
-def _fmt(value, machine: bool):
-    if isinstance(value, float):
-        return repr(value) if machine else f"{value:.6g}"
-    return str(value)
+def _fmt(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def _emit(doc: dict, args) -> None:
@@ -35,10 +33,7 @@ def _emit(doc: dict, args) -> None:
         print(json.dumps(doc, indent=2, default=lambda o: o.__dict__))
     else:
         for key, value in doc.items():
-            if isinstance(value, float):
-                print(f"{key}: {_fmt(value, False)}")
-            else:
-                print(f"{key}: {value}")
+            print(f"{key}: {_fmt(value)}")
 
 
 def _verdict_doc(v: analysis.RegularityVerdict) -> dict:
@@ -49,7 +44,10 @@ def _write_csv(path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -71,10 +69,10 @@ def cmd_validate(args) -> int:
         print(json.dumps({"n": system.n, "alpha": list(part.alpha), "reports": reports}, indent=2))
     else:
         print(f"n: {system.n}")
-        print("alpha: " + " ".join(_fmt(v, False) for v in part.alpha))
+        print("alpha: " + " ".join(_fmt(v) for v in part.alpha))
         for rep in reports:
             tag = "contractive" if rep["contractive"] else "NOT contractive"
-            print(f"p={_fmt(rep['p'], False)}: r_p={_fmt(rep['r_p'], False)} ({tag})")
+            print(f"p={_fmt(rep['p'])}: r_p={_fmt(rep['r_p'])} ({tag})")
     return 0
 
 
@@ -179,20 +177,13 @@ def cmd_measure(args) -> int:
     mu = measure_mod.measure_from_function(system, collapse_zero_branches=args.collapse)
     if args.samples:
         xs = measure_mod.sample(mu, args.samples, args.sample_depth, args.seed)
-        text = "\n".join(repr(float(v)) for v in xs) + "\n"
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write(args.out, "\n".join(repr(float(v)) for v in xs) + "\n")
         return 0
-    import itertools
-
-    rows = []
-    for word in itertools.product(range(1, mu.n + 1), repeat=args.depth):
-        lo, hi = measure_mod.coded_interval(mu, word)
-        mass = measure_mod.coded_interval_mass(mu, word)
-        rows.append(("".join(str(k) for k in word), lo, hi, mass))
+    lo, hi, mass = measure_mod.coded_intervals(mu, args.depth)
+    codes = [""]
+    for _ in range(args.depth):
+        codes = [str(k) + code for k in range(1, mu.n + 1) for code in codes]
+    rows = zip(codes, lo.tolist(), hi.tolist(), mass.tolist())
     _write_csv(args.out, "code,left,right,mass", rows)
     return 0
 

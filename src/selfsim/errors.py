@@ -17,6 +17,10 @@ class BadLengths(SelfSimError):
     """Segment lengths a_k must be positive and sum to 1."""
 
 
+class NonFinite(SelfSimError):
+    """Parameters a, c, d, beta must be finite (no NaN or +-inf)."""
+
+
 class BadExponent(SelfSimError):
     """Exponents must lie in [1, +inf] (or be non-integer where required)."""
 

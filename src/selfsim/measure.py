@@ -6,32 +6,39 @@ rho_k = d_k and the maps send [0,1] affinely onto the partition segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import monotonicity_classify
-from .errors import BadIndex, DepthTooLarge, NotApplicable
-from .params import SimilaritySystem, validate
-from .simop import SegmentCode, boundary_anchors, exact_value_at_code_point
+from .analysis import monotonicity_classify, normalization_violations
+from .errors import DepthTooLarge, NotApplicable
+from .params import Branch, SimilaritySystem, branches
+from .simop import _fold, _image, _words, boundary_anchors, check_code, check_depth
 
 ZERO_BRANCH_TOL = 1e-15
+DEFAULT_CODE_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class SelfSimilarMeasure:
-    """Weights rho_k and affine maps t -> length_k * t + left_k.
+    """Weights rho_k and affine maps t -> length_k * t + left_k (1 -> right_k).
 
     letters records, per branch, the 1-based index of the originating branch
     of the source system (they differ when zero-weight branches were
-    collapsed away).
+    collapsed away).  maps has d = rho, so values from v = 1 are masses.
     """
 
     rho: tuple[float, ...]
     left: tuple[float, ...]
     length: tuple[float, ...]
     letters: tuple[int, ...]
+    right: tuple[float, ...]
+    maps: tuple[Branch, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = zip(self.length, self.left, self.right, self.rho)
+        maps = tuple(Branch(a, lo, hi, 0.0, rho, 0.0) for a, lo, hi, rho in rows)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def n(self) -> int:
@@ -50,27 +57,15 @@ def measure_from_function(
     collapse_zero_branches=True they are removed and the remaining maps keep
     their original image segments.
     """
-    part = validate(system)
-    violated = []
-    if any(ck != 0.0 for ck in system.c):
-        violated.append("c=0")
-    try:
-        anchors = boundary_anchors(system)
-        if abs(anchors.f0) > tol:
-            violated.append("f0=0")
-        if abs(anchors.f1 - 1.0) > tol:
-            violated.append("f1=1")
-    except Exception:
-        violated.append("bounded")
+    maps = branches(system)
+    violated = normalization_violations(system, tol)
     if not violated:
         if not monotonicity_classify(system, tol).holds:
             violated.append("nondecreasing")
         if abs(math.fsum(system.d) - 1.0) > 1e-12:
             violated.append("sum_d=1")
-        if any(dk < -ZERO_BRANCH_TOL for dk in system.d):
-            violated.append("d_k>0")
-        zero = [k for k, dk in enumerate(system.d) if abs(dk) <= ZERO_BRANCH_TOL]
-        if zero and not collapse_zero_branches:
+        zero = any(abs(dk) <= ZERO_BRANCH_TOL for dk in system.d)
+        if any(dk < -ZERO_BRANCH_TOL for dk in system.d) or (zero and not collapse_zero_branches):
             violated.append("d_k>0")
     if violated:
         raise NotApplicable(sorted(set(violated)))
@@ -80,61 +75,51 @@ def measure_from_function(
         raise NotApplicable(["n>1"], "fewer than two positive-weight branches")
     return SelfSimilarMeasure(
         rho=tuple(system.d[k] for k in keep),
-        left=tuple(part.alpha[k] for k in keep),
+        left=tuple(maps[k].lo for k in keep),
         length=tuple(system.a[k] for k in keep),
         letters=tuple(k + 1 for k in keep),
+        right=tuple(maps[k].hi for k in keep),
     )
-
-
-def _check_measure_code(measure: SelfSimilarMeasure, code) -> tuple[int, ...]:
-    word = code.word if isinstance(code, SegmentCode) else tuple(int(k) for k in code)
-    for k in word:
-        if not 1 <= k <= measure.n:
-            raise BadIndex(f"code letter {k} outside 1..{measure.n}")
-    return word
 
 
 def coded_interval_mass(measure: SelfSimilarMeasure, code) -> float:
     """Mass of the coded interval: the product of the branch weights."""
-    word = _check_measure_code(measure, code)
-    return math.prod(measure.rho[k - 1] for k in word)
+    return _fold(measure.maps, check_code(code, measure.n), 0.0, 1.0)[1]
 
 
 def coded_interval(measure: SelfSimilarMeasure, code) -> tuple[float, float]:
     """Endpoints of the coded interval under the measure's maps."""
-    word = _check_measure_code(measure, code)
-    lo, hi = 0.0, 1.0
-    for k in reversed(word):
-        a, al = measure.length[k - 1], measure.left[k - 1]
-        lo = a * lo + al
-        hi = a * hi + al
-    return lo, hi
+    word = check_code(code, measure.n)
+    return _fold(measure.maps, word, 0.0, 1.0)[0], _fold(measure.maps, word, 1.0, 1.0)[0]
+
+
+def coded_intervals(measure: SelfSimilarMeasure, depth: int):
+    """(left, right, mass) arrays over all depth-long codes, in lexicographic
+    order; each entry equals coded_interval / coded_interval_mass bitwise."""
+    check_depth(measure.n, depth, DEFAULT_CODE_CAP)
+    left, mass = _words(measure.maps, depth, 0.0, 1.0)
+    return left, _words(measure.maps, depth, 1.0)[0], mass
 
 
 def cdf_consistency(
     system: SimilaritySystem,
     measure: SelfSimilarMeasure,
     m: int,
-    cap: int = 10**6,
+    cap: int = DEFAULT_CODE_CAP,
 ) -> float:
     """Max residual |mass(code) - (f(right) - f(left))| over depth-m codes.
 
     f values are the exact one-sided fixed-point values of the system the
-    measure was built from.
+    measure was built from, at the codes mapped to its letters.
     """
-    if measure.n**m > cap:
-        raise DepthTooLarge(f"{measure.n}^{m} codes exceed cap {cap}")
+    check_depth(measure.n, m, cap)
     anchors = boundary_anchors(system)
-    import itertools
-
-    worst = 0.0
-    for word in itertools.product(range(1, measure.n + 1), repeat=m):
-        mass = coded_interval_mass(measure, word)
-        sys_word = tuple(measure.letters[k - 1] for k in word)
-        f_lo = exact_value_at_code_point(system, anchors, sys_word, "left")
-        f_hi = exact_value_at_code_point(system, anchors, sys_word, "right")
-        worst = max(worst, abs(mass - (f_hi - f_lo)))
-    return worst
+    maps = branches(system)
+    sub = [maps[k - 1] for k in measure.letters]
+    f_lo = _words(sub, m, 0.0, anchors.f0)[1]
+    f_hi = _words(sub, m, 1.0, anchors.f1)[1]
+    mass = _words(measure.maps, m, 0.0, 1.0)[1]
+    return float(np.abs(mass - (f_hi - f_lo)).max())
 
 
 def sample(
@@ -149,10 +134,9 @@ def sample(
     rho = np.asarray(measure.rho)
     rho = rho / rho.sum()
     idx = rng.choice(measure.n, size=(count, depth), p=rho)
-    left = np.asarray(measure.left)
-    length = np.asarray(measure.length)
+    a, lo, hi = np.asarray(measure.maps)[:, :3].T
     x = np.zeros(count)
-    for j in range(depth - 1, -1, -1):
-        lj = idx[:, j]
-        x = length[lj] * x + left[lj]
+    # each draw's own letter, one contiguous row per step, last letter first
+    for lj in np.ascontiguousarray(idx.T[::-1]):
+        _image(Branch(a.take(lj), lo.take(lj), hi.take(lj), 0.0, 0.0, 0.0), x, None, x)
     return x

@@ -14,17 +14,11 @@ import json
 from pathlib import Path
 
 from .errors import LengthMismatch, SelfSimError
-from .params import SimilaritySystem, validate
+from .params import FIELDS, SimilaritySystem, validate
 
 
 def system_to_dict(system: SimilaritySystem) -> dict:
-    return {
-        "n": system.n,
-        "a": list(system.a),
-        "c": list(system.c),
-        "d": list(system.d),
-        "beta": list(system.beta),
-    }
+    return {"n": system.n, **{name: list(getattr(system, name)) for name in FIELDS}}
 
 
 def system_from_dict(doc: dict) -> SimilaritySystem:

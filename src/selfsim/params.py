@@ -8,19 +8,19 @@ the library is derived from a validated system.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, BadLengths, LengthMismatch, NDegenerate
+from .errors import BadExponent, BadLengths, LengthMismatch, NDegenerate, NonFinite
 
 SUM_TOL = 1e-12
 
 
-def _as_tuple(seq) -> tuple[float, ...]:
-    return tuple(float(v) for v in seq)
+FIELDS = ("a", "c", "d", "beta")
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,12 @@ class SimilaritySystem:
     c: tuple[float, ...]
     d: tuple[float, ...]
     beta: tuple[float, ...]
+    # (Partition, branch maps) kept by the first successful validate(); not a field
+    _checked = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_tuple(self.a))
-        object.__setattr__(self, "c", _as_tuple(self.c))
-        object.__setattr__(self, "d", _as_tuple(self.d))
-        object.__setattr__(self, "beta", _as_tuple(self.beta))
+        for name in FIELDS:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -59,6 +59,17 @@ class Partition:
 
     def lengths(self) -> tuple[float, ...]:
         return tuple(self.alpha[k + 1] - self.alpha[k] for k in range(self.n))
+
+
+class Branch(NamedTuple):
+    """Branch k's maps: t -> a t + lo (t = 1 -> exactly hi), v -> (c t + beta) + d v."""
+
+    a: float
+    lo: float
+    hi: float
+    c: float
+    d: float
+    beta: float
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,11 @@ def validate(system: SimilaritySystem) -> Partition:
 
     The partition is built by sequential prefix summation of the a_k; the
     final point is clamped to exactly 1 so downstream meshes have exact
-    endpoints.
+    endpoints.  The first successful result is kept on the (frozen) system
+    and returned by later calls; failures are not kept.
     """
+    if system._checked is not None:
+        return system._checked[0]
     n = system.n
     if n <= 1:
         raise NDegenerate(f"need n > 1 branches, got n={n}")
@@ -93,21 +107,30 @@ def validate(system: SimilaritySystem) -> Partition:
             f"sequence lengths differ: a={n}, c={len(system.c)}, "
             f"d={len(system.d)}, beta={len(system.beta)}"
         )
+    for name in FIELDS:
+        if not all(map(math.isfinite, getattr(system, name))):
+            raise NonFinite(f"{name} must be finite, got {getattr(system, name)}")
     if any(ak <= 0.0 for ak in system.a):
         raise BadLengths(f"all a_k must be positive, got {system.a}")
     total = math.fsum(system.a)
     if abs(total - 1.0) > SUM_TOL:
         raise BadLengths(f"sum of a_k must be 1 within {SUM_TOL}, got {total!r}")
 
-    alpha = [0.0]
-    acc = 0.0
-    for ak in system.a:
-        acc += ak
-        alpha.append(acc)
+    alpha = [0.0, *itertools.accumulate(system.a)]
     alpha[-1] = 1.0
     if any(alpha[k + 1] <= alpha[k] for k in range(n)):
         raise BadLengths("partition points not strictly increasing")
-    return Partition(tuple(alpha))
+    part = Partition(tuple(alpha))
+    rows = zip(system.a, alpha[:-1], alpha[1:], system.c, system.d, system.beta)
+    object.__setattr__(system, "_checked", (part, tuple(Branch(*r) for r in rows)))
+    return part
+
+
+def branches(system: SimilaritySystem) -> tuple[Branch, ...]:
+    """The validated system's branch maps, k = 1..n."""
+    if system._checked is None:
+        validate(system)
+    return system._checked[1]
 
 
 def contraction_factor(system: SimilaritySystem, p) -> ContractionReport:

@@ -7,10 +7,11 @@ nondecreasing condition, yet decreases (f(4/9) = 1/2 - d/6 < f(1/3) = 1/2).
 
 from __future__ import annotations
 
+import inspect
 from typing import Sequence
 
 from .errors import BadPresetParams
-from .params import SimilaritySystem, validate
+from .params import SimilaritySystem
 
 
 def characteristic(zeta: float, xi: float) -> SimilaritySystem:
@@ -103,6 +104,12 @@ PRESET_NAMES = (
     "bernoulli",
 )
 
+# the presets that take a fixed list of numbers, by name
+_FIXED_ARITY = {
+    f.__name__: f
+    for f in (characteristic, identity2, identity3, cantor_family, counterexample, bernoulli)
+}
+
 
 def build_preset(name: str, values: Sequence[float] = ()) -> SimilaritySystem:
     """Instantiate a preset by its stable CLI name.
@@ -112,29 +119,16 @@ def build_preset(name: str, values: Sequence[float] = ()) -> SimilaritySystem:
     flattened list alpha_1..alpha_{n+1}, s_1..s_n.
     """
     values = [float(v) for v in values]
-    if name == "characteristic":
-        if len(values) != 2:
-            raise BadPresetParams("characteristic needs zeta, xi")
-        return characteristic(*values)
     if name == "step":
         if len(values) < 3 or len(values) % 2 != 1:
             raise BadPresetParams("step needs alpha_1..alpha_{n+1}, s_1..s_n")
         n = len(values) // 2
         return step(values[: n + 1], values[n + 1 :])
-    if name in ("identity2", "identity3"):
-        if values:
-            raise BadPresetParams(f"{name} takes no parameters")
-        return identity2() if name == "identity2" else identity3()
-    if name == "cantor_family":
-        if len(values) != 2:
-            raise BadPresetParams("cantor_family needs a, delta")
-        return cantor_family(*values)
-    if name == "counterexample":
-        if len(values) != 1:
-            raise BadPresetParams("counterexample needs d")
-        return counterexample(values[0])
-    if name == "bernoulli":
-        if len(values) != 1:
-            raise BadPresetParams("bernoulli needs w")
-        return bernoulli(values[0])
-    raise BadPresetParams(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    build = _FIXED_ARITY.get(name)
+    if build is None:
+        raise BadPresetParams(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    params = list(inspect.signature(build).parameters)
+    if len(values) != len(params):
+        need = f"needs {', '.join(params)}" if params else "takes no parameters"
+        raise BadPresetParams(f"{name} {need}")
+    return build(*values)

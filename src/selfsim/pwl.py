@@ -53,11 +53,6 @@ class PiecewiseLinearFn:
     def zero(cls) -> "PiecewiseLinearFn":
         return cls([0.0, 1.0], [0.0, 0.0])
 
-    @classmethod
-    def from_points(cls, x, y) -> "PiecewiseLinearFn":
-        """Continuous interpolant through (x_i, y_i)."""
-        return cls(x, y)
-
     @property
     def n_pieces(self) -> int:
         return self.x.size - 1
@@ -71,10 +66,7 @@ class PiecewiseLinearFn:
     def _piece_index(self, t: np.ndarray, side: str) -> np.ndarray:
         # piece i covers (x[i], x[i+1]); side decides which piece owns a
         # breakpoint hit.
-        if side == "right":
-            idx = np.searchsorted(self.x, t, side="right") - 1
-        else:
-            idx = np.searchsorted(self.x, t, side="left") - 1
+        idx = np.searchsorted(self.x, t, side=side) - 1
         return np.clip(idx, 0, self.n_pieces - 1)
 
     def value_right(self, t) -> np.ndarray:

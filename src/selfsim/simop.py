@@ -7,35 +7,26 @@ first letter is the outermost map, so codes in lexicographic order run left
 to right across [0,1].  Value recursions therefore process the code from the
 last letter to the first, carrying the pair (t, f(t)) and applying
 f(S_k(t)) = c_k t + d_k f(t) + beta_k at each step.
+
+Every recursion in the library (G, meshes, code points, the measure) is the
+step (t, v) <- (a_k t + alpha_k, (c_k t + beta_k) + d_k v), with the image
+of t = 1 exactly alpha_{k+1}.  It is written twice, vectorized in
+:func:`_image` and as the scalar fold :func:`_fold` over one word; both round
+in this order, so a code-point value equals its mesh value bitwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadIndex, DepthTooLarge, NonzeroC, Unbounded
-from .params import Partition, SimilaritySystem, validate
+from .params import Branch, SimilaritySystem, branches, validate
 from .pwl import PiecewiseLinearFn
 
 DEFAULT_SEGMENT_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class SegmentCode:
-    """Finite word of 1-based branch indices addressing a segment of T_m."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(k) for k in self.word))
-
-    @property
-    def depth(self) -> int:
-        return len(self.word)
 
 
 @dataclass(frozen=True)
@@ -54,12 +45,71 @@ class BoundaryAnchors:
     f1: float
 
 
-def _check_code(code: SegmentCode | Sequence[int], n: int) -> tuple[int, ...]:
-    word = code.word if isinstance(code, SegmentCode) else tuple(int(k) for k in code)
+def _image(branch: Branch, t: np.ndarray, v, t_out, v_out=None) -> None:
+    """The step for one branch, written into t_out and v_out (either may be
+    None).  Branch fields may be arrays broadcast against t; t_out may alias
+    t only without v_out, as it holds c_k t + beta_k meanwhile."""
+    a, lo, hi, c, d, beta = branch
+    if v_out is not None:
+        drift = np.multiply(t, c, out=t_out)
+        drift += beta
+        np.multiply(v, d, out=v_out)
+        v_out += drift
+    if t_out is not None:
+        ones = t == 1.0
+        np.multiply(t, a, out=t_out)
+        t_out += lo
+        np.copyto(t_out, hi, where=ones)
+
+
+def _fold(maps: Sequence[Branch], word: Sequence[int], t: float, v: float) -> tuple[float, float]:
+    """Scalar :func:`_image` over a whole word, last letter first."""
+    for k in reversed(word):
+        a, lo, hi, c, d, beta = maps[k - 1]
+        v = (c * t + beta) + d * v
+        t = hi if t == 1.0 else a * t + lo
+    return t, v
+
+
+def _words(maps: Sequence[Branch], m: int, t, v=None):
+    """Images of the points t (values v) under every word of length m.
+
+    Blocks are in lexicographic (= left-to-right) word order; the last
+    letter acts first.  v=None skips the values.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    v = None if v is None else np.atleast_1d(np.asarray(v, dtype=float))
+    for _ in range(m):
+        size = t.size
+        t_new = np.empty(len(maps) * size)
+        v_new = None if v is None else np.empty_like(t_new)
+        # prepend each letter k as the new outermost map
+        for k, branch in enumerate(maps):
+            blk = slice(k * size, (k + 1) * size)
+            _image(branch, t, v, t_new[blk], None if v is None else v_new[blk])
+        t, v = t_new, v_new
+    return t, v
+
+
+def check_code(code: Sequence[int], n: int) -> tuple[int, ...]:
+    word = tuple(int(k) for k in code)
     for k in word:
         if not 1 <= k <= n:
             raise BadIndex(f"code letter {k} outside 1..{n}")
     return word
+
+
+def check_depth(n: int, m: int, cap: int) -> None:
+    """Reject depths below 1 and n^m above the cap, before allocating."""
+    if m < 1:
+        raise DepthTooLarge(f"depth must be >= 1, got {m}")
+    if n**m > cap:
+        raise DepthTooLarge(f"n^m = {n}^{m} exceeds cap {cap}")
+
+
+def require_bounded(system: SimilaritySystem) -> None:
+    if max(abs(dk) for dk in system.d) >= 1.0:
+        raise Unbounded("some |d_k| >= 1: bounded fixed point does not exist")
 
 
 def boundary_anchors(system: SimilaritySystem) -> BoundaryAnchors:
@@ -81,26 +131,19 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     breakpoints, so piecewise-linear functions map to piecewise-linear
     functions (with the branch images merged where they continue collinearly).
     """
-    part = validate(system)
-    alpha = part.alpha
-    n = system.n
+    maps = branches(system)
     m = f.x.size
 
-    xs = np.empty(n * (m - 1) + 1)
+    xs = np.empty(len(maps) * (m - 1) + 1)
     yl = np.empty_like(xs)
     yr = np.empty_like(xs)
-    for k in range(n):
-        a, c, d, b = system.a[k], system.c[k], system.d[k], system.beta[k]
+    for k, branch in enumerate(maps):
         lo = k * (m - 1)
-        seg_x = a * f.x + alpha[k]
-        seg_x[-1] = alpha[k + 1]
-        drift = c * f.x + b
-        xs[lo : lo + m - 1] = seg_x[:-1]
-        # right limits at the scaled breakpoints (the junction alpha_{k+1}
-        # takes its right limit from the next branch's first point)
-        yr[lo : lo + m - 1] = drift[:-1] + d * f.yr[:-1]
+        # scaled breakpoints with the right limits there (the junction
+        # alpha_{k+1} takes its right limit from the next branch's first point)
+        _image(branch, f.x[:-1], f.yr[:-1], xs[lo : lo + m - 1], yr[lo : lo + m - 1])
         # left limits, including this branch's contribution at alpha_{k+1}
-        yl[lo + 1 : lo + m] = drift[1:] + d * f.yl[1:]
+        _image(branch, f.x[1:], f.yl[1:], None, yl[lo + 1 : lo + m])
     xs[-1] = 1.0
     yl[0] = yr[0]
     yr[-1] = yl[-1]
@@ -115,46 +158,31 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
 
 
 def build_mesh(system: SimilaritySystem, m: int, cap: int = DEFAULT_SEGMENT_CAP) -> Mesh:
-    """Refinement mesh T_m: T_1 = {alpha_k}, T_m = {a_k x + alpha_k : x in T_{m-1}}.
+    """Refinement mesh T_m: T_0 = {0, 1}, T_m = {S_k(x) : x in T_{m-1}}.
 
-    Points are deduplicated by exact float equality; the affine updates use
-    the same operation order as :func:`code_to_segment`, so code endpoints
+    Points are deduplicated by exact float equality after each step; they
+    come from the same step as :func:`code_to_segment`, so code endpoints
     reproduce mesh points exactly.
     """
-    part = validate(system)
-    n = system.n
-    if m < 1:
-        raise DepthTooLarge(f"depth must be >= 1, got {m}")
-    if n**m > cap:
-        raise DepthTooLarge(f"n^m = {n}^{m} exceeds segment cap {cap}")
-    pts = np.asarray(part.alpha)
-    a = np.asarray(system.a)
-    alpha = np.asarray(part.alpha[:-1])
-    for _ in range(m - 1):
-        blocks = a[:, None] * pts[None, :] + alpha[:, None]
-        # the image of t = 1 is the exact junction point alpha_{k+1}
-        blocks[:, pts == 1.0] = np.asarray(part.alpha[1:])[:, None]
-        pts = np.unique(blocks.ravel())
+    maps = branches(system)
+    check_depth(len(maps), m, cap)
+    pts = np.array([0.0, 1.0])
+    for _ in range(m):
+        pts = np.unique(_words(maps, 1, pts)[0])
     return Mesh(depth=m, points=pts)
 
 
-def code_to_segment(system: SimilaritySystem, code: SegmentCode | Sequence[int]) -> tuple[float, float]:
+def code_to_segment(system: SimilaritySystem, code: Sequence[int]) -> tuple[float, float]:
     """Endpoints of the coded segment, nesting the affine images from [0,1]."""
-    part = validate(system)
-    word = _check_code(code, system.n)
-    lo, hi = 0.0, 1.0
-    for k in reversed(word):
-        a, al = system.a[k - 1], part.alpha[k - 1]
-        lo = a * lo + al
-        # image of t = 1 is the exact junction point, matching build_mesh
-        hi = part.alpha[k] if hi == 1.0 else a * hi + al
-    return lo, hi
+    maps = branches(system)
+    word = check_code(code, len(maps))
+    return _fold(maps, word, 0.0, 0.0)[0], _fold(maps, word, 1.0, 0.0)[0]
 
 
 def exact_value_at_code_point(
     system: SimilaritySystem,
     anchors: BoundaryAnchors,
-    code: SegmentCode | Sequence[int],
+    code: Sequence[int],
     end: str = "left",
 ) -> float:
     """One-sided fixed-point value at an endpoint of the coded segment.
@@ -162,27 +190,17 @@ def exact_value_at_code_point(
     Left ends give the right limit f(x+0) anchored at f0; right ends give the
     left limit f(x-0) anchored at f1.  Requires |d_k| < 1 for all k.
     """
-    validate(system)
-    word = _check_code(code, system.n)
-    if max(abs(dk) for dk in system.d) >= 1.0:
-        raise Unbounded("some |d_k| >= 1: bounded fixed point does not exist")
+    maps = branches(system)
+    word = check_code(code, len(maps))
+    require_bounded(system)
     if end == "left":
-        t, v = 0.0, anchors.f0
-    elif end == "right":
-        t, v = 1.0, anchors.f1
-    else:
-        raise BadIndex(f"end must be 'left' or 'right', got {end!r}")
-    part = validate(system)
-    for k in reversed(word):
-        i = k - 1
-        v = system.c[i] * t + system.d[i] * v + system.beta[i]
-        t = system.a[i] * t + part.alpha[i]
-    return v
+        return _fold(maps, word, 0.0, anchors.f0)[1]
+    if end == "right":
+        return _fold(maps, word, 1.0, anchors.f1)[1]
+    raise BadIndex(f"end must be 'left' or 'right', got {end!r}")
 
 
-def iterate_closed_form(
-    system: SimilaritySystem, code: SegmentCode | Sequence[int], x: float
-) -> float:
+def iterate_closed_form(system: SimilaritySystem, code: Sequence[int], x: float) -> float:
     """Closed-form value of the m-th iterate (seed f_0(x) = x) on its segment.
 
     Only valid for c_k = 0: on the coded segment the iterate is the affine
@@ -190,13 +208,12 @@ def iterate_closed_form(
     endpoint value sum_j beta_{k_j} prod_{i<j} d_{k_i}.
     """
     validate(system)
-    word = _check_code(code, system.n)
+    word = check_code(code, system.n)
     if any(ck != 0.0 for ck in system.c):
         raise NonzeroC("closed-form iterate requires c_k = 0 for all k")
     lo, hi = code_to_segment(system, word)
     if not (lo - 1e-12 <= x <= hi + 1e-12):
         raise BadIndex(f"x={x} outside coded segment [{lo}, {hi}]")
-    slope_num = 1.0
     slope_den = 1.0
     intercept = 0.0
     dprod = 1.0  # product of d over letters outward of the current one
@@ -204,9 +221,8 @@ def iterate_closed_form(
         i = k - 1
         intercept += system.beta[i] * dprod
         dprod *= system.d[i]
-        slope_num *= system.d[i]
         slope_den *= system.a[i]
-    return (slope_num / slope_den) * (x - lo) + intercept
+    return (dprod / slope_den) * (x - lo) + intercept
 
 
 def mesh_code_values(
@@ -219,41 +235,12 @@ def mesh_code_values(
 
     Returns (xL, vL, xR, vR) in left-to-right segment order: vL is the right
     limit at each segment's left end, vR the left limit at its right end.
-    All n^m segments are evaluated with the same recursion as
-    :func:`exact_value_at_code_point`, vectorized over codes.
+    Each equals :func:`code_to_segment` / :func:`exact_value_at_code_point`
+    of its code bitwise.
     """
-    part = validate(system)
-    n = system.n
-    if m < 1:
-        raise DepthTooLarge(f"depth must be >= 1, got {m}")
-    if n**m > cap:
-        raise DepthTooLarge(f"n^m = {n}^{m} exceeds segment cap {cap}")
-    if max(abs(dk) for dk in system.d) >= 1.0:
-        raise Unbounded("some |d_k| >= 1: bounded fixed point does not exist")
-    tL = np.array([0.0])
-    vL = np.array([anchors.f0])
-    tR = np.array([1.0])
-    vR = np.array([anchors.f1])
-    a = np.asarray(system.a)
-    c = np.asarray(system.c)
-    d = np.asarray(system.d)
-    b = np.asarray(system.beta)
-    al = np.asarray(part.alpha[:-1])
-    for _ in range(m):
-        # prepend each letter k as the new outermost map; block order keeps
-        # the segments sorted left to right
-        ones = tR == 1.0
-        vL = (c[:, None] * tL[None, :] + d[:, None] * vL[None, :] + b[:, None]).ravel()
-        tL = (a[:, None] * tL[None, :] + al[:, None]).ravel()
-        vR = (c[:, None] * tR[None, :] + d[:, None] * vR[None, :] + b[:, None]).ravel()
-        tR_new = a[:, None] * tR[None, :] + al[:, None]
-        tR_new[:, ones] = np.asarray(part.alpha[1:])[:, None]
-        tR = tR_new.ravel()
+    maps = branches(system)
+    check_depth(len(maps), m, cap)
+    require_bounded(system)
+    tL, vL = _words(maps, m, 0.0, anchors.f0)
+    tR, vR = _words(maps, m, 1.0, anchors.f1)
     return tL, vL, tR, vR
-
-
-def all_codes(n: int, m: int) -> Iterable[tuple[int, ...]]:
-    """All depth-m codes in lexicographic (= spatial) order."""
-    import itertools
-
-    return itertools.product(range(1, n + 1), repeat=m)

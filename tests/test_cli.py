@@ -139,6 +139,25 @@ def test_measure_table(capsys, cantor_file):
     assert sum(masses) == pytest.approx(1.0)
 
 
+def test_measure_table_depth_cap(capsys, cantor_file):
+    # 2^40 rows: refused before any row is computed
+    code, out, err = run(capsys, "measure", cantor_file, "--collapse", "--depth", "40")
+    assert code == 2
+    assert out == "" and "cap" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["check", "--strict"]])
+@pytest.mark.parametrize("field", ["a", "c", "d", "beta"])
+def test_non_finite_parameters_exit_2(capsys, tmp_path, command, field):
+    doc = {"n": 2, "a": [0.5, 0.5], "c": [0.0, 0.0], "d": [0.5, 0.5], "beta": [0.0, 0.5]}
+    doc[field][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert "holds" not in out and "finite" in err
+
+
 def test_measure_samples(capsys, cantor_file, tmp_path):
     out_path = tmp_path / "xs.txt"
     code, _, _ = run(

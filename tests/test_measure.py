@@ -10,11 +10,13 @@ from selfsim import (
     cdf_consistency,
     coded_interval,
     coded_interval_mass,
+    coded_intervals,
+    code_to_segment,
     measure_from_function,
     mesh_code_values,
     sample,
 )
-from selfsim.errors import BadIndex, NotApplicable
+from selfsim.errors import BadIndex, DepthTooLarge, NotApplicable
 from selfsim.presets import bernoulli, cantor_family, identity2
 
 CANTOR = cantor_family(1.0 / 3.0, 0.0)
@@ -41,6 +43,31 @@ def test_cantor_collapse():
     assert coded_interval_mass(mu, (1, 1)) == 0.25
     lo, hi = coded_interval(mu, (1, 1))
     assert (lo, hi) == (0.0, 1 / 9)
+
+
+# a_2 + alpha_2 rounds to 1.0000000000001; the partition clamps alpha_3 to 1
+OVERSHOOT = SimilaritySystem(a=(0.3, 0.7000000000001), c=(0, 0), d=(0.5, 0.5), beta=(0, 0.5))
+
+
+@pytest.mark.parametrize("system, collapse", [(OVERSHOOT, False), (CANTOR, True)])
+def test_coded_interval_is_code_segment(system, collapse):
+    mu = measure_from_function(system, collapse_zero_branches=collapse)
+    for m in (1, 2, 3):
+        lo, hi, mass = coded_intervals(mu, m)
+        for i, w in enumerate(itertools.product(range(1, mu.n + 1), repeat=m)):
+            seg = code_to_segment(system, [mu.letters[k - 1] for k in w])
+            assert coded_interval(mu, w) == seg == (lo[i], hi[i])
+            assert coded_interval_mass(mu, w) == mass[i]
+            assert 0.0 <= seg[0] <= seg[1] <= 1.0
+    assert coded_interval(measure_from_function(OVERSHOOT), (2, 2, 2))[1] == 1.0
+
+
+def test_coded_intervals_cap():
+    mu = measure_from_function(BERN)
+    with pytest.raises(DepthTooLarge):
+        coded_intervals(mu, 40)
+    with pytest.raises(DepthTooLarge):
+        coded_intervals(mu, 0)
 
 
 def test_bernoulli_weights():

@@ -11,7 +11,14 @@ from selfsim import (
     validate,
     weighted_pair_norm,
 )
-from selfsim.errors import BadExponent, BadLengths, LengthMismatch, NDegenerate
+from selfsim.errors import (
+    BadExponent,
+    BadLengths,
+    LengthMismatch,
+    NDegenerate,
+    NonFinite,
+    SelfSimError,
+)
 from selfsim.presets import cantor_family
 
 from conftest import random_system
@@ -52,6 +59,31 @@ def test_validate_rejects_nonpositive():
     s = SimilaritySystem(a=(1.5, -0.5), c=(0, 0), d=(0, 0), beta=(0, 0))
     with pytest.raises(BadLengths):
         validate(s)
+
+
+@pytest.mark.parametrize("field", ["a", "c", "d", "beta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite(field, bad):
+    params = dict(a=[0.5, 0.5], c=[0.0, 0.0], d=[0.5, 0.5], beta=[0.0, 0.5])
+    params[field][0] = bad
+    with pytest.raises(NonFinite):
+        validate(SimilaritySystem(**params))
+    assert issubclass(NonFinite, SelfSimError)
+
+
+def test_validate_result_is_kept():
+    s = SimilaritySystem(a=(0.5, 0.5), c=(1, -2), d=(0.3, 0.4), beta=(5, 6))
+    assert validate(s) is validate(s)
+    # equal systems built separately validate separately, to equal partitions
+    twin = SimilaritySystem(a=(0.5, 0.5), c=(1, -2), d=(0.3, 0.4), beta=(5, 6))
+    assert twin == s and validate(twin) == validate(s)
+
+
+def test_validate_failures_are_not_kept():
+    s = SimilaritySystem(a=(0.5, 0.25), c=(0, 0), d=(0, 0), beta=(0, 0))
+    for _ in range(3):
+        with pytest.raises(BadLengths):
+            validate(s)
 
 
 def test_contraction_cantor_p1():

@@ -18,7 +18,6 @@ from selfsim import (
 )
 from selfsim.errors import BadIndex, DepthTooLarge, NonzeroC, Unbounded
 from selfsim.presets import cantor_family, counterexample, identity2
-from selfsim.simop import all_codes
 
 from conftest import random_system
 
@@ -114,7 +113,7 @@ def test_codes_reproduce_mesh_exactly(rng):
         m = 3
         mesh = set(build_mesh(system, m).points.tolist())
         endpoints = set()
-        for w in all_codes(3, m):
+        for w in itertools.product((1, 2, 3), repeat=m):
             lo, hi = code_to_segment(system, w)
             endpoints.add(lo)
             endpoints.add(hi)
@@ -207,14 +206,20 @@ def test_iterates_agree_with_fixed_point_on_mesh():
 
 
 def test_mesh_code_values_match_scalar_recursion(rng):
-    system = random_system(rng, n=3)
-    anc = boundary_anchors(system)
-    m = 3
-    xL, vL, xR, vR = mesh_code_values(system, anc, m)
-    for i, w in enumerate(all_codes(3, m)):
-        assert vL[i] == pytest.approx(
-            exact_value_at_code_point(system, anc, w, "left"), abs=1e-14
-        )
-        assert vR[i] == pytest.approx(
-            exact_value_at_code_point(system, anc, w, "right"), abs=1e-14
-        )
+    # the vectorized step and the scalar fold round alike: bitwise equal
+    # a_2 + alpha_2 rounds above 1: only the snapped image of t = 1 stays in [0, 1]
+    overshoot = dict(a=(0.3, 0.7000000000001), d=(0.5, 0.5), beta=(0, 0.5))
+    systems = [random_system(rng) for _ in range(8)] + [
+        SimilaritySystem(c=(0, 0), **overshoot),
+        SimilaritySystem(c=(0.5, -0.25), **overshoot),
+        CANTOR,
+    ]
+    for system in systems:
+        anc = boundary_anchors(system)
+        m = 3
+        xL, vL, xR, vR = mesh_code_values(system, anc, m)
+        words = itertools.product(range(1, system.n + 1), repeat=m)
+        for i, w in enumerate(words):
+            assert code_to_segment(system, w) == (xL[i], xR[i])
+            assert vL[i] == exact_value_at_code_point(system, anc, w, "left")
+            assert vR[i] == exact_value_at_code_point(system, anc, w, "right")
