@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import (
     BadExponent,
+    BadOption,
+    NonFinite,
     NotApplicable,
     NotContractive,
     NotContractiveAtSomeS,
@@ -20,14 +22,18 @@ from .errors import (
 )
 from .params import (
     SimilaritySystem,
+    branches,
     check_exponent,
     contraction_factor,
     validate,
     weighted_pair_norm,
 )
-from .simop import boundary_anchors, mesh_code_values, require_bounded
+from .simop import _end_values, _words, boundary_anchors, require_bounded
 
 DEFAULT_TOL = 1e-9
+# monotonicity fallback scan: deepest mesh, and the most segments per depth
+FALLBACK_DEPTH = 8
+FALLBACK_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,19 @@ class RegularityVerdict:
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
+
+
+def check_tol(tol: float) -> None:
+    """A verdict tolerance must be finite and >= 0 (NaN would pass every test)."""
+    if not 0.0 <= tol < math.inf:
+        raise BadOption(f"tol must be finite and >= 0, got {tol}")
+
+
+def _finite(value: float, what: str) -> float:
+    """A residual that a verdict compares; overflow to inf or NaN is rejected."""
+    if not math.isfinite(value):
+        raise NonFinite(f"{what} overflows: {value}")
+    return value
 
 
 def _witness(condition: str, index=None, residual=None, point=None) -> dict:
@@ -141,6 +160,7 @@ def continuity_check(system: SimilaritySystem, tol: float = DEFAULT_TOL) -> Regu
     partition point, and the closure identity
     sum c_j + (f1-f0) sum d_j = f1 - f0.
     """
+    check_tol(tol)
     part = validate(system)
     witnesses = []
     d_max = max(abs(dk) for dk in system.d)
@@ -153,13 +173,16 @@ def continuity_check(system: SimilaritySystem, tol: float = DEFAULT_TOL) -> Regu
     for k in range(system.n - 1):
         lhs = system.c[k] + system.d[k] * f1 + system.beta[k]
         rhs = system.d[k + 1] * f0 + system.beta[k + 1]
-        res = lhs - rhs
+        res = _finite(lhs - rhs, f"junction {k + 1} residual")
         if abs(res) > tol:
             witnesses.append(
                 _witness("junction", index=k + 1, residual=res, point=part.alpha[k + 1])
             )
-    closure = math.fsum(system.c) + (f1 - f0) * math.fsum(system.d) - (f1 - f0)
-    if abs(closure) > tol:
+    try:
+        closure = math.fsum(system.c) + (f1 - f0) * math.fsum(system.d) - (f1 - f0)
+    except OverflowError as exc:
+        raise NonFinite(f"closure sum overflows: {exc}") from None
+    if abs(_finite(closure, "closure residual")) > tol:
         witnesses.append(_witness("closure", residual=closure))
     verdict = "fails" if witnesses else "holds"
     return RegularityVerdict("continuity", verdict, tuple(witnesses))
@@ -176,18 +199,18 @@ def _necessary_monotone_witnesses(system: SimilaritySystem, f0: float, f1: float
     n = system.n
     witnesses = []
     for k in range(n):
-        drift = system.c[k] + system.d[k] * (f1 - f0)
+        drift = _finite(system.c[k] + system.d[k] * (f1 - f0), f"drift {k + 1}")
         if drift < -tol:
             witnesses.append(_witness("c_k+d_k>=0", index=k + 1, residual=drift))
     starts = [system.d[k] * f0 + system.beta[k] for k in range(n)] + [f1]
     for k in range(n):
-        res = starts[k] - starts[k + 1]
+        res = _finite(starts[k] - starts[k + 1], f"offset order {k + 1}")
         if res > tol:
             witnesses.append(_witness("beta_k<=beta_{k+1}", index=k + 1, residual=res))
     for k in range(n):
         end = system.c[k] + system.d[k] * f1 + system.beta[k]
         nxt = starts[k + 1]
-        res = end - nxt
+        res = _finite(end - nxt, f"junction order {k + 1}")
         if res > tol:
             witnesses.append(
                 _witness("junction_monotone", index=k + 1, residual=res)
@@ -195,20 +218,16 @@ def _necessary_monotone_witnesses(system: SimilaritySystem, f0: float, f1: float
     return witnesses
 
 
-def monotonicity_classify(
-    system: SimilaritySystem,
-    tol: float = DEFAULT_TOL,
-    fallback_depth: int = 8,
-    fallback_cap: int = 10**6,
-) -> RegularityVerdict:
+def monotonicity_classify(system: SimilaritySystem, tol: float = DEFAULT_TOL) -> RegularityVerdict:
     """Classify whether the fixed point is nondecreasing.
 
     Fails when a necessary condition is violated; holds when the sufficient
     conditions (c_k >= 0, d_k >= 0, ordered offsets) are met; otherwise the
-    exact code-point values are scanned up to fallback_depth for a
-    decreasing pair, and the verdict stays indeterminate only when none is
-    found.
+    exact code-point values are scanned up to FALLBACK_DEPTH (while n^m <=
+    FALLBACK_CAP) for a decreasing pair, and the verdict stays indeterminate
+    only when none is found.
     """
+    check_tol(tol)
     validate(system)
     require_bounded(system)
     anchors = boundary_anchors(system)
@@ -222,11 +241,14 @@ def monotonicity_classify(
     if sufficient:
         return RegularityVerdict("monotonicity", "holds")
 
-    # numerical fallback: exact one-sided values on refinement meshes
-    for m in range(1, fallback_depth + 1):
-        if system.n**m > fallback_cap:
+    # numerical fallback: exact one-sided values on refinement meshes, one step per depth
+    maps = branches(system)
+    xL, vL, xR, vR = 0.0, f0, 1.0, f1
+    for m in range(1, FALLBACK_DEPTH + 1):
+        if system.n**m > FALLBACK_CAP:
             break
-        xL, vL, xR, vR = mesh_code_values(system, anchors, m)
+        xL, vL = _words(maps, 1, xL, vL)
+        xR, vR = _words(maps, 1, xR, vR)
         pts = np.empty(2 * xL.size)
         vals = np.empty_like(pts)
         pts[0::2], pts[1::2] = xL, xR
@@ -281,14 +303,14 @@ def variation_criterion(system: SimilaritySystem, tol: float = DEFAULT_TOL):
     return D, verdict
 
 
-def variation_on_mesh(system: SimilaritySystem, m: int, cap: int = 10**7) -> float:
+def variation_on_mesh(system: SimilaritySystem, m: int) -> float:
     """Variation of the fixed point over the mesh T_m.
 
     Uses the left-continuity convention: the value at each interior mesh
     point is the exact left limit there, the value at 0 is f0.
     """
     anchors = boundary_anchors(system)
-    _, _, _, vR = mesh_code_values(system, anchors, m, cap=cap)
+    vR = _end_values(system, anchors, m, "right")[1]
     vals = np.concatenate(([anchors.f0], vR))
     return float(np.abs(np.diff(vals)).sum())
 

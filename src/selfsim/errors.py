@@ -25,6 +25,10 @@ class BadExponent(SelfSimError):
     """Exponents must lie in [1, +inf] (or be non-integer where required)."""
 
 
+class BadOption(SelfSimError):
+    """A tolerance, target error, depth or cap is NaN or out of range."""
+
+
 class DepthTooLarge(SelfSimError):
     """Requested refinement depth exceeds the configured segment cap."""
 

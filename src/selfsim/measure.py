@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import monotonicity_classify, normalization_violations
+from .analysis import check_tol, monotonicity_classify, normalization_violations
 from .errors import DepthTooLarge, NotApplicable
 from .params import Branch, SimilaritySystem, branches
 from .simop import _fold, _image, _words, boundary_anchors, check_code, check_depth
@@ -57,6 +57,7 @@ def measure_from_function(
     collapse_zero_branches=True they are removed and the remaining maps keep
     their original image segments.
     """
+    check_tol(tol)
     maps = branches(system)
     violated = normalization_violations(system, tol)
     if not violated:
@@ -101,18 +102,13 @@ def coded_intervals(measure: SelfSimilarMeasure, depth: int):
     return left, _words(measure.maps, depth, 1.0)[0], mass
 
 
-def cdf_consistency(
-    system: SimilaritySystem,
-    measure: SelfSimilarMeasure,
-    m: int,
-    cap: int = DEFAULT_CODE_CAP,
-) -> float:
+def cdf_consistency(system: SimilaritySystem, measure: SelfSimilarMeasure, m: int) -> float:
     """Max residual |mass(code) - (f(right) - f(left))| over depth-m codes.
 
     f values are the exact one-sided fixed-point values of the system the
     measure was built from, at the codes mapped to its letters.
     """
-    check_depth(measure.n, m, cap)
+    check_depth(measure.n, m, DEFAULT_CODE_CAP)
     anchors = boundary_anchors(system)
     maps = branches(system)
     sub = [maps[k - 1] for k in measure.letters]

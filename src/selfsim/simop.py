@@ -17,12 +17,13 @@ in this order, so a code-point value equals its mesh value bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndex, DepthTooLarge, NonzeroC, Unbounded
+from .errors import BadIndex, DepthTooLarge, NonFinite, NonzeroC, Unbounded
 from .params import Branch, SimilaritySystem, branches, validate
 from .pwl import PiecewiseLinearFn
 
@@ -120,6 +121,8 @@ def boundary_anchors(system: SimilaritySystem) -> BoundaryAnchors:
         raise Unbounded(f"|d_1|={abs(d1)}, |d_n|={abs(dn)}: boundary anchors undefined")
     f0 = system.beta[0] / (1.0 - d1)
     f1 = (system.c[-1] + system.beta[-1]) / (1.0 - dn)
+    if not (math.isfinite(f0) and math.isfinite(f1)):
+        raise NonFinite(f"boundary anchors overflow: f0={f0}, f1={f1}")
     return BoundaryAnchors(f0=f0, f1=f1)
 
 
@@ -157,19 +160,16 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     return PiecewiseLinearFn(xs, yl, yr, _trusted=True).merged()
 
 
-def build_mesh(system: SimilaritySystem, m: int, cap: int = DEFAULT_SEGMENT_CAP) -> Mesh:
-    """Refinement mesh T_m: T_0 = {0, 1}, T_m = {S_k(x) : x in T_{m-1}}.
+def build_mesh(system: SimilaritySystem, m: int) -> Mesh:
+    """Refinement mesh T_m: the endpoints of the n^m depth-m code segments.
 
-    Points are deduplicated by exact float equality after each step; they
-    come from the same step as :func:`code_to_segment`, so code endpoints
-    reproduce mesh points exactly.
+    The right end of word u k n^r is the left end of word u (k+1) 1^r, both
+    S_u(alpha_{k+1}) by the same float operations, so one left-end pass plus
+    1 gives every endpoint, bitwise as :func:`code_to_segment` computes it.
     """
     maps = branches(system)
-    check_depth(len(maps), m, cap)
-    pts = np.array([0.0, 1.0])
-    for _ in range(m):
-        pts = np.unique(_words(maps, 1, pts)[0])
-    return Mesh(depth=m, points=pts)
+    check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
+    return Mesh(depth=m, points=np.unique(np.append(_words(maps, m, 0.0)[0], 1.0)))
 
 
 def code_to_segment(system: SimilaritySystem, code: Sequence[int]) -> tuple[float, float]:
@@ -225,11 +225,17 @@ def iterate_closed_form(system: SimilaritySystem, code: Sequence[int], x: float)
     return (dprod / slope_den) * (x - lo) + intercept
 
 
+def _end_values(system: SimilaritySystem, anchors: BoundaryAnchors, m: int, end: str):
+    """(x, v) at the left ends (from 0, f0) or right ends (from 1, f1) of all depth-m segments."""
+    maps = branches(system)
+    check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
+    require_bounded(system)
+    t, v = (0.0, anchors.f0) if end == "left" else (1.0, anchors.f1)
+    return _words(maps, m, t, v)
+
+
 def mesh_code_values(
-    system: SimilaritySystem,
-    anchors: BoundaryAnchors,
-    m: int,
-    cap: int = DEFAULT_SEGMENT_CAP,
+    system: SimilaritySystem, anchors: BoundaryAnchors, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact one-sided fixed-point values over all depth-m segments.
 
@@ -238,9 +244,4 @@ def mesh_code_values(
     Each equals :func:`code_to_segment` / :func:`exact_value_at_code_point`
     of its code bitwise.
     """
-    maps = branches(system)
-    check_depth(len(maps), m, cap)
-    require_bounded(system)
-    tL, vL = _words(maps, m, 0.0, anchors.f0)
-    tR, vR = _words(maps, m, 1.0, anchors.f1)
-    return tL, vL, tR, vR
+    return (*_end_values(system, anchors, m, "left"), *_end_values(system, anchors, m, "right"))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotContractive
+from .errors import BadOption, NotContractive
 from .params import SimilaritySystem, check_exponent, contraction_factor
 from .pwl import PiecewiseLinearFn
 from .simop import DEFAULT_SEGMENT_CAP, apply_G
@@ -63,9 +63,8 @@ def _piece_integrals(g0: np.ndarray, g1: np.ndarray, h: np.ndarray, p: float) ->
     scale = np.maximum(np.abs(g0), np.abs(g1))
     out = np.empty_like(g0)
 
-    near = np.abs(dg) <= 1e-6 * scale
-    exact = ~near & (dg != 0.0)
-    flat = ~near & (dg == 0.0)
+    near = np.abs(dg) <= 1e-6 * scale  # includes dg == 0
+    exact = ~near
 
     if exact.any():
         a0, a1, d = g0[exact], g1[exact], dg[exact]
@@ -76,34 +75,30 @@ def _piece_integrals(g0: np.ndarray, g1: np.ndarray, h: np.ndarray, p: float) ->
         gm = 0.5 * (g0[near] + g1[near])
         delta = np.where(gm != 0.0, dg[near] / np.where(gm != 0.0, gm, 1.0), 0.0)
         out[near] = np.abs(gm) ** p * (1.0 + p * (p - 1.0) / 24.0 * delta**2) * h[near]
-    if flat.any():
-        out[flat] = np.abs(g0[flat]) ** p * h[flat]
     return out
 
 
-def lp_distance(f: PiecewiseLinearFn, g: PiecewiseLinearFn, p) -> float:
-    """Exact L_p distance of two piecewise-linear functions.
+def _norm(x: np.ndarray, yl: np.ndarray, yr: np.ndarray, p: float) -> float:
+    """Exact L_p norm of the piecewise-linear function (x, yl, yr).
 
-    Finite p integrates the closed form per linear piece of the difference;
-    p = inf takes the maximum of one-sided differences over the union of
-    breakpoints (differences of piecewise-linear functions attain their sup
-    there).
+    Finite p integrates the closed form per linear piece yr[i] -> yl[i+1];
+    p = inf is the maximum of the one-sided values (a piecewise-linear
+    function attains its sup at a breakpoint).
     """
-    p = check_exponent(p)
-    xs = np.union1d(f.x, g.x)
     if math.isinf(p):
-        dr = np.abs(f.value_right(xs) - g.value_right(xs))
-        dl = np.abs(f.value_left(xs) - g.value_left(xs))
-        return float(max(dr.max(), dl.max()))
-    left, right = xs[:-1], xs[1:]
-    g0 = f.value_right(left) - g.value_right(left)
-    g1 = f.value_left(right) - g.value_left(right)
-    total = float(_piece_integrals(g0, g1, right - left, p).sum())
+        return float(max(np.abs(yl).max(), np.abs(yr).max()))
+    total = float(_piece_integrals(yr[:-1], yl[1:], np.diff(x), p).sum())
     return total ** (1.0 / p)
 
 
-def _sup_abs(f: PiecewiseLinearFn) -> float:
-    return float(max(np.abs(f.yl).max(), np.abs(f.yr).max()))
+def lp_distance(f: PiecewiseLinearFn, g: PiecewiseLinearFn, p) -> float:
+    """Exact L_p distance of two piecewise-linear functions: the norm of
+    their difference on the union of breakpoints."""
+    p = check_exponent(p)
+    xs = np.union1d(f.x, g.x)
+    dl = f.value_left(xs) - g.value_left(xs)
+    dr = f.value_right(xs) - g.value_right(xs)
+    return _norm(xs, dl, dr, p)
 
 
 def lp_norm(f: PiecewiseLinearFn, p) -> float:
@@ -112,16 +107,12 @@ def lp_norm(f: PiecewiseLinearFn, p) -> float:
     Equal to lp_distance(f, zero, p): bitwise for finite p; for p = inf the
     maximum of the one-sided values, within an ulp.
     """
-    p = check_exponent(p)
-    if math.isinf(p):
-        return _sup_abs(f)
-    total = float(_piece_integrals(f.yr[:-1], f.yl[1:], np.diff(f.x), p).sum())
-    return total ** (1.0 / p)
+    return _norm(f.x, f.yl, f.yr, check_exponent(p))
 
 
 def step_bound(step1: float, q: float, m: int, f_m: PiecewiseLinearFn) -> float:
     """Bound on ||f_m - f_{m-1}||_p from the first step, with rounding allowance."""
-    floor = STEP_ABS_ULPS * sys.float_info.epsilon * _sup_abs(f_m)
+    floor = STEP_ABS_ULPS * sys.float_info.epsilon * _norm(f_m.x, f_m.yl, f_m.yr, math.inf)
     return q ** (m - 1) * step1 * (1.0 + STEP_REL_ALLOWANCE) + floor
 
 
@@ -146,12 +137,14 @@ def solve(
     certified error achieved are still returned.
     """
     p = check_exponent(p)
+    if not target_error > 0.0:
+        raise BadOption(f"target_error must be positive, got {target_error}")
+    if max_depth < 1 or piece_cap < 1:
+        raise BadOption(f"max_depth and piece_cap must be >= 1, got {max_depth}, {piece_cap}")
     report = contraction_factor(system, p)
     if not report.contractive:
         raise NotContractive(f"r_p = {report.r_p} >= 1 at p = {p}")
     q = report.r_p if math.isinf(p) else report.r_p ** (1.0 / p)
-    if target_error <= 0.0:
-        raise ValueError(f"target_error must be positive, got {target_error}")
 
     f_prev = PiecewiseLinearFn.identity() if seed is None else seed
     err = math.inf

@@ -20,8 +20,11 @@ from selfsim import (
     variation_on_mesh,
     weighted_pair_norm,
 )
+from selfsim import analysis, boundary_anchors, mesh_code_values
 from selfsim.errors import (
     BadExponent,
+    BadOption,
+    NonFinite,
     NotApplicable,
     NotContractiveAtSomeS,
     PartitionMismatch,
@@ -180,6 +183,55 @@ def test_monotone_unbounded():
         monotonicity_classify(s)
 
 
+def _identity_alternating(a, d_abs):
+    # f(x) = x with d_k of alternating sign (c_k = a_k - d_k, beta_k = alpha_k):
+    # monotone, but the sufficient conditions fail, so the full scan runs
+    d = [dk if k % 2 else -dk for k, dk in enumerate(d_abs)]
+    alpha = np.concatenate(([0.0], np.cumsum(a)[:-1]))
+    return SimilaritySystem(a=a, c=[ak - dk for ak, dk in zip(a, d)], d=d, beta=alpha)
+
+
+def _reference_scan(system, tol=1e-9):
+    # the fallback written with a fresh mesh_code_values pass per depth
+    anc = boundary_anchors(system)
+    for m in range(1, analysis.FALLBACK_DEPTH + 1):
+        if system.n**m > analysis.FALLBACK_CAP:
+            break
+        xL, vL, xR, vR = mesh_code_values(system, anc, m)
+        pts = np.ravel(np.column_stack((xL, xR)))
+        vals = np.ravel(np.column_stack((vL, vR)))
+        drops = np.nonzero(np.diff(vals) < -tol)[0]
+        if drops.size:
+            i = int(drops[0])
+            return "fails", (
+                {
+                    "condition": "mesh_decrease",
+                    "index": m,
+                    "residual": float(vals[i + 1] - vals[i]),
+                    "point": (float(pts[i]), float(pts[i + 1])),
+                },
+            )
+    return "indeterminate", ()
+
+
+@pytest.mark.parametrize(
+    "system, verdict",
+    [(counterexample(d), "fails") for d in (0.3, 0.5, 0.7)]
+    + [
+        (_identity_alternating([0.5, 0.5], [0.3, 0.2]), "indeterminate"),
+        (_identity_alternating([0.3, 0.3, 0.4], [0.2, 0.5, 0.1]), "indeterminate"),
+        (_identity_alternating([0.2, 0.3, 0.25, 0.25], [0.4, 0.1, 0.3, 0.2]), "indeterminate"),
+        # the first decreasing pair shows at depth 7, and at depth 8
+        (SimilaritySystem((0.82, 0.18), (0.118, -0.41), (0.7, 0.59), (0.0, 0.82)), "fails"),
+        (SimilaritySystem((0.76, 0.24), (0.537, -0.35), (0.22, 0.59), (0.0, 0.76)), "fails"),
+    ],
+)
+def test_fallback_scan_matches_mesh_code_values(system, verdict):
+    v = monotonicity_classify(system)
+    assert v.verdict == verdict
+    assert (v.verdict, v.witnesses) == _reference_scan(system)
+
+
 def test_monotone_verdicts_consistent_with_mesh(rng):
     from selfsim import boundary_anchors, mesh_code_values
 
@@ -244,6 +296,58 @@ def test_variation_monotone_system_telescopes():
 def test_variation_identity_function():
     for m in (1, 3, 5):
         assert variation_on_mesh(identity2(), m) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_variation_on_mesh_sums_right_end_values(rng):
+    # one right-end pass gives mesh_code_values' vR bitwise
+    for _ in range(20):
+        system = random_system(rng)
+        anc = boundary_anchors(system)
+        for m in (1, 3, 5):
+            vR = mesh_code_values(system, anc, m)[3]
+            expected = float(np.abs(np.diff(np.concatenate(([anc.f0], vR)))).sum())
+            assert variation_on_mesh(system, m) == expected
+
+
+# ----------------------------------------------------------------------
+# tolerances and overflow
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+@pytest.mark.parametrize("check", [continuity_check, monotonicity_classify, variation_criterion])
+def test_bad_tol_rejected(check, tol):
+    # a NaN tolerance would pass every residual test: the indicator has jumps
+    with pytest.raises(BadOption):
+        check(characteristic(0.25, 0.75), tol)
+    with pytest.raises(BadOption):
+        check(CANTOR, tol)
+
+
+def test_zero_tol_accepted():
+    assert continuity_check(CANTOR, 0.0).holds
+    assert monotonicity_classify(CANTOR, 0.0).holds
+
+
+def test_overflowing_anchors_rejected():
+    s = SimilaritySystem(a=(0.5, 0.5), c=(1e308, 1e308), d=(0.5, 0.5), beta=(1e308, 1e308))
+    for check in (boundary_anchors, continuity_check, monotonicity_classify):
+        with pytest.raises(NonFinite):
+            check(s)
+
+
+def test_overflowing_closure_rejected():
+    # finite anchors, but sum(c) overflows inside math.fsum
+    s = SimilaritySystem(a=(0.5, 0.5), c=(1e308, 1e308), d=(0.5, -0.9), beta=(0.0, 0.0))
+    boundary_anchors(s)
+    with pytest.raises(NonFinite):
+        continuity_check(s)
+
+
+def test_overflowing_residuals_rejected():
+    # f0 = -1e308 and f1 = 1e308 are finite, f1 - f0 is not
+    s = SimilaritySystem(a=(0.5, 0.5), c=(0.0, 0.0), d=(0.0, 0.0), beta=(-1e308, 1e308))
+    for check in (continuity_check, monotonicity_classify):
+        with pytest.raises(NonFinite):
+            check(s)
 
 
 # ----------------------------------------------------------------------

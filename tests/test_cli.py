@@ -5,7 +5,7 @@ import pytest
 
 from selfsim import write_system
 from selfsim.cli import main
-from selfsim.presets import cantor_family, counterexample, identity2
+from selfsim.presets import cantor_family, characteristic, counterexample, identity2
 
 
 @pytest.fixture
@@ -101,6 +101,43 @@ def test_check_strict_exit(capsys, cantor_file, counter_file):
     assert code == 1
     doc = json.loads(out)
     assert doc["monotonicity"]["verdict"] == "fails"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+def test_check_bad_tol_exit_2(capsys, tmp_path, tol):
+    # with --tol nan every residual test passed: the indicator's jumps "held"
+    path = tmp_path / "ch.json"
+    write_system(characteristic(0.25, 0.75), path)
+    assert run(capsys, "check", str(path), "--strict")[0] == 1
+    code, out, err = run(capsys, "check", str(path), "--tol", tol, "--strict")
+    assert code == 2
+    assert out == "" and "tol" in err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--target-error", "-1"], ["--target-error", "nan"], ["--max-iter", "0"], ["--piece-cap", "0"]],
+)
+@pytest.mark.parametrize("command", ["solve", "norms", "render"])
+def test_solver_bad_numeric_options_exit_2(capsys, cantor_file, command, option):
+    code, out, err = run(capsys, command, cantor_file, *option)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "c, d, beta",
+    [
+        ([1e308, 1e308], [0.5, 0.5], [1e308, 1e308]),  # anchors overflow
+        ([1e308, 1e308], [0.5, -0.9], [0.0, 0.0]),  # closure sum overflows
+    ],
+)
+def test_check_overflow_exit_2(capsys, tmp_path, c, d, beta):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "c": c, "d": d, "beta": beta}))
+    code, out, err = run(capsys, "check", str(path), "--strict")
+    assert code == 2
+    assert "holds" not in out and "overflow" in err
 
 
 def test_check_not_strict(capsys, counter_file):

@@ -16,7 +16,7 @@ from selfsim import (
     mesh_code_values,
     sample,
 )
-from selfsim.errors import BadIndex, DepthTooLarge, NotApplicable
+from selfsim.errors import BadIndex, BadOption, DepthTooLarge, NotApplicable
 from selfsim.presets import bernoulli, cantor_family, identity2
 
 CANTOR = cantor_family(1.0 / 3.0, 0.0)
@@ -33,6 +33,12 @@ def uniform_system():
 def test_cantor_rejected_without_collapse():
     with pytest.raises(NotApplicable):
         measure_from_function(CANTOR)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_bad_tol_rejected(tol):
+    with pytest.raises(BadOption):
+        measure_from_function(BERN, tol=tol)
 
 
 def test_cantor_collapse():

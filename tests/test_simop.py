@@ -82,7 +82,7 @@ def test_mesh_dyadic():
 
 def test_mesh_cap():
     with pytest.raises(DepthTooLarge):
-        build_mesh(CANTOR, 20, cap=1000)
+        build_mesh(CANTOR, 20)
 
 
 def test_code_to_segment_examples():

@@ -12,7 +12,7 @@ from selfsim import (
     lp_norm,
     solve,
 )
-from selfsim.errors import BadExponent, NotContractive
+from selfsim.errors import BadExponent, BadOption, NotContractive
 from selfsim.presets import (
     bernoulli,
     cantor_family,
@@ -78,6 +78,29 @@ def test_bad_exponent():
         lp_distance(IDENTITY, ZERO, 0.3)
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.25])
+@pytest.mark.parametrize(
+    "g0, g1, h, rel",
+    [
+        (-0.7, 1.3, 0.25, 1e-14),  # sign change
+        (1.0, 1.0 + 3e-7, 0.5, 1e-14),  # near-constant: midpoint expansion
+        (-0.8, -0.8, 0.3, 1e-14),  # dg = 0
+        (1.0, 1.0 + 1.1e-6, 0.4, 1e-10),  # just above the 1e-6 switch: cancellation
+        (0.4, 2.1, 0.7, 1e-14),  # generic
+    ],
+)
+def test_piece_integrals_match_mpmath(p, g0, g1, h, rel):
+    # oracle: int_0^h |g0 + (g1 - g0) t / h|^p dt by 50-digit quadrature,
+    # split at the root of a sign change
+    mpmath = pytest.importorskip("mpmath")
+    got = solver._piece_integrals(np.array([g0]), np.array([g1]), np.array([h]), p)[0]
+    with mpmath.workdps(50):
+        G0, G1, H, P = (mpmath.mpf(v) for v in (g0, g1, h, p))
+        nodes = [0, H * G0 / (G0 - G1), H] if G0 * G1 < 0 else [0, H]
+        expected = mpmath.quad(lambda t: abs(G0 + (G1 - G0) * t / H) ** P, nodes)
+        assert abs((mpmath.mpf(got) - expected) / expected) < rel
+
+
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
@@ -114,6 +137,24 @@ def test_solve_not_contractive():
     s = SimilaritySystem(a=(0.5, 0.5), c=(0, 0), d=(1.2, 1.1), beta=(0, 0))
     with pytest.raises(NotContractive):
         solve(s, 1, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"target_error": -1.0},
+        {"target_error": 0.0},
+        {"target_error": math.nan},
+        {"max_depth": 0},
+        {"piece_cap": 0},
+    ],
+)
+def test_solve_rejects_bad_numeric_inputs(kwargs):
+    kwargs = {"target_error": 1e-6, **kwargs}
+    with pytest.raises(BadOption):
+        solve(CANTOR, 1, **kwargs)
+    with pytest.raises(ValueError):
+        solve(CANTOR, 1, **kwargs)
 
 
 def test_solve_depth_flagged():
