@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
     rows = zip(f.x.tolist(), f.yl.tolist(), f.yr.tolist())
     header = (
         f"# iterations={res.iterations} q={res.contraction_q!r} "
-        f"certified_error={res.aposteriori_error!r} converged={res.converged}\n"
+        f"certified_error={res.aposteriori_error!r} converged={res.converged} stop={res.stop}\n"
         "x,left,right"
     )
     _write_csv(args.out, header, rows)
@@ -104,6 +104,7 @@ def cmd_solve(args) -> int:
                 "contraction_q": res.contraction_q,
                 "certified_error": res.aposteriori_error,
                 "converged": res.converged,
+                "stop": res.stop,
                 "pieces": f.n_pieces,
                 "out": args.out,
             },
@@ -138,6 +139,7 @@ def cmd_norms(args) -> int:
         "measured_norm": measured,
         "certified_error": res.aposteriori_error,
         "converged": res.converged,
+        "stop": res.stop,
     }
     _emit(doc, args)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SelfSimError
+from .errors import NonFinite, SelfSimError
 
 # Adjacent pieces are merged when the junction carries no jump and the slopes
 # agree to this relative tolerance (rounding scale for exactly collinear data).
@@ -28,6 +28,8 @@ class PiecewiseLinearFn:
         if not _trusted:
             if x.ndim != 1 or x.size < 2:
                 raise SelfSimError("need at least two breakpoints")
+            if not (np.isfinite(x).all() and np.isfinite(yl).all() and np.isfinite(yr).all()):
+                raise NonFinite("breakpoints and values must be finite")
             if x[0] != 0.0 or x[-1] != 1.0:
                 raise SelfSimError("breakpoints must start at 0 and end at 1")
             if np.any(np.diff(x) <= 0.0):
@@ -92,19 +94,27 @@ class PiecewiseLinearFn:
     def merged(self) -> "PiecewiseLinearFn":
         """Drop interior breakpoints where the function continues collinearly.
 
-        Only jump-free junctions with matching slopes are removed, so the
-        represented function is unchanged up to rounding of the slopes.
+        A breakpoint is dropped when it carries no jump (yl == yr) and the
+        slopes s of its two pieces agree: |s_right - s_left| <= 1e-13 *
+        max(1, |s_left|, |s_right|).  Every decision reads the slopes of the
+        input, so the represented function is unchanged up to rounding of
+        the slopes.  When every interior breakpoint carries a jump no slope
+        is computed and self is returned.
         """
-        if self.n_pieces < 2:
-            return self
-        s = self.slopes()
-        scale = np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
-        collinear = np.abs(s[1:] - s[:-1]) <= _MERGE_SLOPE_TOL * scale
-        interior = np.arange(1, self.x.size - 1)
-        no_jump = self.yl[interior] == self.yr[interior]
-        drop = collinear & no_jump
+        x, yl, yr = self.x, self.yl, self.yr
+        drop = yl[1:-1] == yr[1:-1]
         if not drop.any():
             return self
-        keep = np.ones(self.x.size, dtype=bool)
-        keep[interior[drop]] = False
-        return PiecewiseLinearFn(self.x[keep], self.yl[keep], self.yr[keep], _trusted=True)
+        s = yl[1:] - yr[:-1]
+        s /= np.diff(x)
+        abs_s = np.abs(s)
+        scale = np.maximum(abs_s[:-1], abs_s[1:])
+        np.maximum(scale, 1.0, out=scale)
+        scale *= _MERGE_SLOPE_TOL
+        gap = np.subtract(s[1:], s[:-1], out=abs_s[1:])
+        drop &= np.abs(gap, out=gap) <= scale
+        if not drop.any():
+            return self
+        keep = np.ones(x.size, dtype=bool)
+        keep[1:-1] = ~drop
+        return PiecewiseLinearFn(x[keep], yl[keep], yr[keep], _trusted=True)

@@ -133,20 +133,29 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     t = (x - alpha_k)/a_k; one-sided limits of f are carried to the scaled
     breakpoints, so piecewise-linear functions map to piecewise-linear
     functions (with the branch images merged where they continue collinearly).
+
+    A constant branch (c_k = d_k = 0) images only f's two ends, as one
+    piece: every value of its full image is beta_k and every slope 0, so
+    merged() would drop all of its interior breakpoints, and the decisions
+    at alpha_k and alpha_{k+1} see the same slope 0 either way.
     """
     maps = branches(system)
-    m = f.x.size
+    full = (f.x, f.yl, f.yr)
+    ends = tuple(arr[:: arr.size - 1] for arr in full)
+    sources = [ends if br.c == 0.0 and br.d == 0.0 else full for br in maps]
 
-    xs = np.empty(len(maps) * (m - 1) + 1)
+    xs = np.empty(sum(src[0].size - 1 for src in sources) + 1)
     yl = np.empty_like(xs)
     yr = np.empty_like(xs)
-    for k, branch in enumerate(maps):
-        lo = k * (m - 1)
+    lo = 0
+    for branch, (x, g_yl, g_yr) in zip(maps, sources):
+        end = lo + x.size - 1
         # scaled breakpoints with the right limits there (the junction
         # alpha_{k+1} takes its right limit from the next branch's first point)
-        _image(branch, f.x[:-1], f.yr[:-1], xs[lo : lo + m - 1], yr[lo : lo + m - 1])
+        _image(branch, x[:-1], g_yr[:-1], xs[lo:end], yr[lo:end])
         # left limits, including this branch's contribution at alpha_{k+1}
-        _image(branch, f.x[1:], f.yl[1:], None, yl[lo + 1 : lo + m])
+        _image(branch, x[1:], g_yl[1:], None, yl[lo + 1 : end + 1])
+        lo = end
     xs[-1] = 1.0
     yl[0] = yr[0]
     yr[-1] = yl[-1]

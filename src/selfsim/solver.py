@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOption, NotContractive
+from .errors import BadOption, NonFinite, NotContractive
 from .params import SimilaritySystem, check_exponent, contraction_factor
 from .pwl import PiecewiseLinearFn
 from .simop import DEFAULT_SEGMENT_CAP, apply_G
@@ -38,6 +38,8 @@ from .simop import DEFAULT_SEGMENT_CAP, apply_G
 # an absolute part in units of eps times the iterate's largest value.
 STEP_REL_ALLOWANCE = 1e-6
 STEP_ABS_ULPS = 4.0
+# _piece_integrals switches to its midpoint expansion below |dg/g| = this / (p+1)
+NEAR_CONSTANT = 0.1
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,20 @@ class SolveResult:
     contraction_q: float
     aposteriori_error: float
     converged: bool
+    stop: str
 
 
 def _piece_integrals(g0: np.ndarray, g1: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
     """Exact integrals of |g|^p over pieces where g runs linearly g0 -> g1.
 
     Uses the antiderivative sign(u)|u|^{p+1}/(p+1) in the variable u = g(t),
-    which is valid across sign changes.  Near-constant pieces switch to a
-    midpoint expansion to avoid cancellation; its relative truncation error
-    is O((dg/g)^4) <= 1e-24 at the switch threshold.
+    which is valid across sign changes.  Its difference A1 - A0 cancels on
+    near-constant pieces, with relative error about 1.5e-16 / ((p+1) delta)
+    at delta = dg/g.  Pieces with |dg| <= NEAR_CONSTANT / (p+1) * max|g| use
+    the midpoint expansion sum_j C(p, 2j) (delta/2)^{2j} / (2j+1) through
+    delta^6 instead, whose truncation grows like (p delta)^8.  At that switch
+    both stay within about 2e-15 relative of 50-digit mpmath for p from 1
+    to 20.
     """
     g0 = np.asarray(g0, dtype=float)
     g1 = np.asarray(g1, dtype=float)
@@ -63,7 +70,7 @@ def _piece_integrals(g0: np.ndarray, g1: np.ndarray, h: np.ndarray, p: float) ->
     scale = np.maximum(np.abs(g0), np.abs(g1))
     out = np.empty_like(g0)
 
-    near = np.abs(dg) <= 1e-6 * scale  # includes dg == 0
+    near = np.abs(dg) <= NEAR_CONSTANT / (p + 1.0) * scale  # includes dg == 0
     exact = ~near
 
     if exact.any():
@@ -74,7 +81,11 @@ def _piece_integrals(g0: np.ndarray, g1: np.ndarray, h: np.ndarray, p: float) ->
     if near.any():
         gm = 0.5 * (g0[near] + g1[near])
         delta = np.where(gm != 0.0, dg[near] / np.where(gm != 0.0, gm, 1.0), 0.0)
-        out[near] = np.abs(gm) ** p * (1.0 + p * (p - 1.0) / 24.0 * delta**2) * h[near]
+        d2 = delta**2
+        c1 = p * (p - 1.0) / 24.0
+        c2 = c1 * (p - 2.0) * (p - 3.0) / 80.0
+        c3 = c2 * (p - 4.0) * (p - 5.0) / 168.0
+        out[near] = np.abs(gm) ** p * (1.0 + d2 * (c1 + d2 * (c2 + d2 * c3))) * h[near]
     return out
 
 
@@ -82,11 +93,14 @@ def _norm(x: np.ndarray, yl: np.ndarray, yr: np.ndarray, p: float) -> float:
     """Exact L_p norm of the piecewise-linear function (x, yl, yr).
 
     Finite p integrates the closed form per linear piece yr[i] -> yl[i+1];
-    p = inf is the maximum of the one-sided values (a piecewise-linear
-    function attains its sup at a breakpoint).
+    p = inf is the maximum of the one-sided |values| (a piecewise-linear
+    function attains its sup at a breakpoint), read off max and min without
+    an |y| temporary; NaN propagates and an all-zero function gives +0.0.
     """
     if math.isinf(p):
-        return float(max(np.abs(yl).max(), np.abs(yr).max()))
+        top = np.maximum(yl.max(), yr.max())
+        bottom = np.minimum(yl.min(), yr.min())
+        return float(np.maximum(top, -bottom)) + 0.0
     total = float(_piece_integrals(yr[:-1], yl[1:], np.diff(x), p).sum())
     return total ** (1.0 / p)
 
@@ -134,7 +148,9 @@ def solve(
 
     Stops early (converged=False) when max_depth iterations are reached or
     the next iterate would exceed piece_cap pieces; the approximant and the
-    certified error achieved are still returned.
+    certified error achieved are still returned.  `stop` names the reason:
+    "target", "max_depth" or "piece_cap".  A non-finite error (a seed or an
+    iterate that overflowed) raises NonFinite.
     """
     p = check_exponent(p)
     if not target_error > 0.0:
@@ -146,20 +162,22 @@ def solve(
         raise NotContractive(f"r_p = {report.r_p} >= 1 at p = {p}")
     q = report.r_p if math.isinf(p) else report.r_p ** (1.0 / p)
 
-    f_prev = PiecewiseLinearFn.identity() if seed is None else seed
-    err = math.inf
-    iterations = 0
-    while iterations < max_depth:
-        f_next = apply_G(system, f_prev)
-        iterations += 1
-        if iterations == 1:
-            step1 = step = lp_distance(f_next, f_prev, p)
+    f = PiecewiseLinearFn.identity() if seed is None else seed
+    for m in range(1, max_depth + 1):
+        f_prev, f = f, apply_G(system, f)
+        if m == 1:
+            step1 = step = lp_distance(f, f_prev, p)
         else:
-            step = step_bound(step1, q, iterations, f_next)
+            step = step_bound(step1, q, m, f)
         err = q / (1.0 - q) * step
-        f_prev = f_next
+        if not math.isfinite(err):
+            raise NonFinite(f"certified error {err} at iteration {m}: seed or iterate not finite")
         if err <= target_error:
-            return SolveResult(f_prev, iterations, q, err, True)
-        if f_prev.n_pieces * system.n > piece_cap:
-            break
-    return SolveResult(f_prev, iterations, q, err, False)
+            stop = "target"
+        elif m == max_depth:
+            stop = "max_depth"
+        elif f.n_pieces * system.n > piece_cap:
+            stop = "piece_cap"
+        else:
+            continue
+        return SolveResult(f, m, q, err, stop == "target", stop)

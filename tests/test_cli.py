@@ -231,3 +231,36 @@ def test_preset_roundtrip(capsys, tmp_path):
     code, _, err = run(capsys, "preset", "bernoulli", "--out", str(out_path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "options, stop",
+    [
+        (["--target-error", "1e-4"], "target"),
+        (["--target-error", "1e-30", "--max-iter", "3"], "max_depth"),
+        (["--target-error", "1e-30", "--piece-cap", "100"], "piece_cap"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "norms"])
+def test_stop_reason_in_json(capsys, cantor_file, tmp_path, command, options, stop):
+    out_path = tmp_path / "f.csv"
+    extra = ["--out", str(out_path)] if command == "solve" else []
+    code, out, _ = run(capsys, command, cantor_file, "--p", "1", *options, *extra, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stop"] == stop
+    assert doc["converged"] is (stop == "target")
+    if command == "solve":
+        assert out_path.read_text().splitlines()[0].endswith(f" stop={stop}")
+
+
+@pytest.mark.parametrize("command", ["solve", "norms", "render"])
+def test_solve_overflow_exit_2(capsys, tmp_path, command):
+    # the iterates overflow: before, solve ran to --max-iter with error nan
+    path = tmp_path / "big.json"
+    big = {"a": [0.5, 0.5], "c": [1e308, 1e308], "d": [0.5, 0.5], "beta": [1e308, 1e308]}
+    path.write_text(json.dumps(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, command, str(path), "--p", "inf", "--max-iter", "10", "--json")
+    assert code == 2
+    assert out == "" and "finite" in err

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from selfsim import PiecewiseLinearFn
-from selfsim.errors import SelfSimError
+from selfsim.errors import NonFinite, SelfSimError
 
 
 def test_identity_eval():
@@ -38,3 +40,83 @@ def test_merge_collinear():
 def test_merge_keeps_jump():
     f = PiecewiseLinearFn([0, 0.5, 1], [0, 0.5, 1.5], [0, 1.0, 1.5])
     assert f.merged().n_pieces == 2
+
+
+@pytest.mark.parametrize(
+    "x, yl, yr",
+    [
+        ([0, math.nan, 1], [0, 1, 0], [0, 1, 0]),
+        ([0, 0.5, 1], [0, 1, 0], [0, math.nan, 0]),
+        ([0, 0.5, 1], [0, math.inf, 0], [0, 1, 0]),
+        ([0, 0.5, 1], [0, 1, 0], [0, 1, -math.inf]),
+        ([0, 0.5, math.inf], [0, 1, 0], [0, 1, 0]),
+    ],
+)
+def test_rejects_non_finite(x, yl, yr):
+    with pytest.raises(NonFinite):
+        PiecewiseLinearFn(x, yl, yr)
+
+
+def _merged_reference(f):
+    # merged() as first written: slopes(), an index array and fancy gathers
+    if f.n_pieces < 2:
+        return f
+    s = f.slopes()
+    scale = np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+    collinear = np.abs(s[1:] - s[:-1]) <= 1e-13 * scale
+    interior = np.arange(1, f.x.size - 1)
+    drop = collinear & (f.yl[interior] == f.yr[interior])
+    keep = np.ones(f.x.size, dtype=bool)
+    keep[interior[drop]] = False
+    return PiecewiseLinearFn(f.x[keep], f.yl[keep], f.yr[keep], _trusted=True)
+
+
+def _random_merge_case(rng, kind):
+    m = int(rng.integers(1, 3)) if kind == "small" else int(rng.integers(3, 40))
+    x = np.unique(np.concatenate(([0.0], rng.uniform(0.0, 1.0, m - 1), [1.0])))
+    if kind == "collinear":
+        # exactly collinear runs: y = 2x - 0.5 on dyadic points, with a kink
+        x = np.unique(np.concatenate(([0.0], rng.integers(1, 64, m) / 64.0, [1.0])))
+        y = 2.0 * x - 0.5
+        y[x > 0.5] = 0.5 - 3.0 * (x[x > 0.5] - 0.75)
+        # one-ulp jumps keep their breakpoints although the slopes agree
+        return x, y, np.where(rng.uniform(size=x.size) < 0.3, np.nextafter(y, np.inf), y)
+    y = rng.normal(size=x.size) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "jumps":
+        return x, y, y + rng.choice([-1.0, 1.0], x.size) * rng.uniform(0.1, 1.0, x.size)
+    if kind == "gap":
+        # slope s on every piece, perturbed by a relative gap just inside or
+        # just outside the 1e-13 tolerance
+        s = rng.uniform(-5.0, 5.0)
+        rel = rng.choice([0.9e-13, 1.1e-13, 0.5e-13, 2e-13], x.size - 1)
+        slopes = s * (1.0 + rel * rng.choice([-1.0, 1.0], x.size - 1))
+        y = np.concatenate(([0.0], np.cumsum(slopes * np.diff(x))))
+        return x, y, y.copy()
+    if kind == "zeros":
+        y = np.where(rng.uniform(size=x.size) < 0.5, -0.0, 0.0)
+        y[rng.uniform(size=x.size) < 0.2] = 1.0
+        return x, y, np.where(rng.uniform(size=x.size) < 0.5, 0.0, y)
+    yr = np.where(rng.uniform(size=x.size) < 0.5, y, rng.normal(size=x.size))
+    return x, y, yr
+
+
+@pytest.mark.parametrize("kind", ["jumps", "collinear", "gap", "small", "zeros", "mixed"])
+def test_merged_matches_reference(rng, kind):
+    for _ in range(200):
+        f = PiecewiseLinearFn(*_random_merge_case(rng, kind))
+        got, want = f.merged(), _merged_reference(f)
+        for a, b in ((got.x, want.x), (got.yl, want.yl), (got.yr, want.yr)):
+            assert a.tobytes() == b.tobytes()
+        if kind == "jumps" and f.n_pieces > 1:
+            assert got is f  # no jump-free junction: returned unchanged
+
+
+def test_merged_tolerance_boundary():
+    # relative slope gaps of 0.9e-13 merge, 1.1e-13 do not
+    for rel, pieces in ((0.9e-13, 1), (1.1e-13, 2)):
+        f = PiecewiseLinearFn([0, 0.5, 1], [0.0, 1.0, 2.0 * (1.0 + rel) - rel])
+        assert f.merged().n_pieces == pieces
+    # slopes 0 and exactly 1e-13: a gap equal to the tolerance merges
+    f = PiecewiseLinearFn([0, 0.5, 1], [0.0, 0.0, 0.5e-13])
+    assert f.slopes()[1] == 1e-13
+    assert f.merged().n_pieces == 1

@@ -17,6 +17,8 @@ from selfsim import (
     validate,
 )
 from selfsim.errors import BadIndex, DepthTooLarge, NonzeroC, Unbounded
+from selfsim.params import branches
+from selfsim.simop import _image
 from selfsim.presets import cantor_family, counterexample, identity2
 
 from conftest import random_system
@@ -58,6 +60,56 @@ def test_apply_G_carries_jumps():
     g = apply_G(sys_char, f)
     # interior jump of f at 1/2 is carried to 1/4 scaled by d_1
     assert g.value_left([0.25])[0] - g.value_right([0.25])[0] == pytest.approx(0.5)
+
+
+def _apply_G_reference(system, f):
+    # every branch imaged over all of f's points, collapsed and merged, as
+    # apply_G did before constant branches were written as one piece
+    maps = branches(system)
+    m = f.x.size
+    xs = np.empty(len(maps) * (m - 1) + 1)
+    yl = np.empty_like(xs)
+    yr = np.empty_like(xs)
+    for k, branch in enumerate(maps):
+        lo = k * (m - 1)
+        _image(branch, f.x[:-1], f.yr[:-1], xs[lo : lo + m - 1], yr[lo : lo + m - 1])
+        _image(branch, f.x[1:], f.yl[1:], None, yl[lo + 1 : lo + m])
+    xs[-1] = 1.0
+    yl[0] = yr[0]
+    yr[-1] = yl[-1]
+    pos = np.diff(xs) > 0.0
+    first = np.concatenate(([True], pos))
+    last = np.concatenate((pos, [True]))
+    return PiecewiseLinearFn(xs[first], yl[first], yr[last], _trusted=True).merged()
+
+
+def _with_constant_branch(system, k, beta):
+    c, d, b = list(system.c), list(system.d), list(system.beta)
+    c[k], d[k], b[k] = 0.0, 0.0, beta
+    return SimilaritySystem(a=system.a, c=c, d=d, beta=b)
+
+
+def test_apply_G_constant_branch_matches_full_image(rng):
+    systems = [CANTOR, cantor_family(0.25, 0.0)]
+    for beta in (0.0, -0.0, -0.7, 0.4):
+        for k in (0, 1, 2):  # constant first, middle or last branch
+            systems.append(_with_constant_branch(random_system(rng, n=3, d_max=0.9), k, beta))
+    # d_k = 0 with c_k != 0 is a line, not a constant: imaged in full
+    s = random_system(rng, n=3, d_max=0.9)
+    systems.append(SimilaritySystem(a=s.a, c=s.c, d=(s.d[0], 0.0, s.d[2]), beta=s.beta))
+    seeds = [
+        PiecewiseLinearFn.identity(),
+        PiecewiseLinearFn([0, 1], [-0.0, 0.0]),
+        PiecewiseLinearFn([0, 0.3, 0.7, 1], [0.2, -0.5, 1.0, 0.4], [0.2, 0.8, -0.3, 0.4]),
+        PiecewiseLinearFn([0, 0.25, 0.5, 1], [0.0, -0.0, 0.5, 1.0], [0.0, 0.0, -0.25, 1.0]),
+    ]
+    for system in systems:
+        for seed in seeds:
+            f = g = seed
+            for _ in range(5):
+                f, g = apply_G(system, f), _apply_G_reference(system, g)
+                for a, b in ((f.x, g.x), (f.yl, g.yl), (f.yr, g.yr)):
+                    assert a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from selfsim import (
     lp_norm,
     solve,
 )
-from selfsim.errors import BadExponent, BadOption, NotContractive
+from selfsim.errors import BadExponent, BadOption, NonFinite, NotContractive
 from selfsim.presets import (
     bernoulli,
     cantor_family,
@@ -85,7 +85,7 @@ def test_bad_exponent():
         (-0.7, 1.3, 0.25, 1e-14),  # sign change
         (1.0, 1.0 + 3e-7, 0.5, 1e-14),  # near-constant: midpoint expansion
         (-0.8, -0.8, 0.3, 1e-14),  # dg = 0
-        (1.0, 1.0 + 1.1e-6, 0.4, 1e-10),  # just above the 1e-6 switch: cancellation
+        (1.0, 1.0 + 1.1e-6, 0.4, 1e-14),  # just above the old 1e-6 switch
         (0.4, 2.1, 0.7, 1e-14),  # generic
     ],
 )
@@ -99,6 +99,70 @@ def test_piece_integrals_match_mpmath(p, g0, g1, h, rel):
         nodes = [0, H * G0 / (G0 - G1), H] if G0 * G1 < 0 else [0, H]
         expected = mpmath.quad(lambda t: abs(G0 + (G1 - G0) * t / H) ** P, nodes)
         assert abs((mpmath.mpf(got) - expected) / expected) < rel
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.25, 20])
+@pytest.mark.parametrize("side", [0.9, 1.1])
+@pytest.mark.parametrize("g0", [1.0, -3.5])
+def test_piece_integrals_at_the_switch(p, side, g0):
+    # just below the near-constant switch (midpoint expansion, truncated at
+    # delta^6) and just above it (closed form, cancelling): both within 1e-14
+    # of 50-digit quadrature
+    mpmath = pytest.importorskip("mpmath")
+    g1 = g0 * (1.0 + side * solver.NEAR_CONSTANT / (p + 1.0))
+    got = solver._piece_integrals(np.array([g0]), np.array([g1]), np.array([0.6]), p)[0]
+    with mpmath.workdps(50):
+        G0, G1, H, P = (mpmath.mpf(v) for v in (g0, g1, 0.6, p))
+        expected = mpmath.quad(lambda t: abs(G0 + (G1 - G0) * t / H) ** P, [0, H])
+        assert abs((mpmath.mpf(got) - expected) / expected) < 1e-14
+
+
+def test_sup_norm_of_negative_zero_is_positive_zero():
+    f = PiecewiseLinearFn([0, 0.5, 1], [-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0])
+    for g in (f, ZERO):
+        got = lp_norm(g, math.inf)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert math.copysign(1.0, lp_distance(f, ZERO, math.inf)) == 1.0
+
+
+def test_non_finite_function_rejected():
+    # before: accepted, and lp_norm(., inf) read 1.0 past the NaN
+    with pytest.raises(NonFinite):
+        PiecewiseLinearFn([0, 0.5, 1], [0, 1, 0], [0, math.nan, 0])
+    # a NaN that gets past the constructor propagates through the sup norm
+    f = PiecewiseLinearFn([0, 0.5, 1], [0.0, 1.0, 0.0], [0.0, math.nan, 0.0], _trusted=True)
+    assert math.isnan(lp_norm(f, math.inf))
+    for p in (1, 2, math.inf):
+        with pytest.raises(NonFinite):
+            solve(bernoulli(0.3), p, 1e-3, seed=f)
+
+
+def test_solve_overflow_raises_non_finite():
+    # before: 10 iterations and aposteriori_error nan, converged False
+    s = SimilaritySystem(a=(0.5, 0.5), c=(1e308, 1e308), d=(0.5, 0.5), beta=(1e308, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+        solve(s, math.inf, 1e-3, max_depth=10)
+
+
+@pytest.mark.parametrize(
+    "kwargs, stop, iterations",
+    [
+        ({"target_error": 1e-4}, "target", None),
+        ({"target_error": 1e-30, "max_depth": 3}, "max_depth", 3),
+        ({"target_error": 1e-30, "piece_cap": 100}, "piece_cap", 5),
+    ],
+)
+def test_solve_stop_reason(kwargs, stop, iterations):
+    res = solve(CANTOR, 1, **kwargs)
+    assert res.stop == stop
+    assert res.converged == (stop == "target")
+    if iterations is not None:
+        assert res.iterations == iterations
+    if stop == "piece_cap":
+        # Cantor iterates have 2^(m+1) - 1 pieces; the next would exceed the cap
+        assert res.approximant.n_pieces * CANTOR.n > 100 >= res.approximant.n_pieces
+    if stop == "target":
+        assert res.aposteriori_error <= kwargs["target_error"]
 
 
 # ----------------------------------------------------------------------
