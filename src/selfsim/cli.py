@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verdict fails under --strict, 2 on input
-or usage errors.  --json emits machine-readable reports with full-precision
-reals; human mode prints 6 significant digits.
+or usage errors and on a floating-point overflow, invalid operation or
+division by zero (one `error:` line, no numpy warnings).  --json emits
+machine-readable reports with full-precision reals; human mode prints 6
+significant digits.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import analysis, measure as measure_mod, presets, simop, solver
 from .errors import SelfSimError
@@ -194,8 +198,6 @@ def cmd_render(args) -> int:
     system = read_system(args.params)
     res = _solve(args, system)
     f = res.approximant
-    import numpy as np
-
     grid = np.union1d(f.x, np.linspace(0.0, 1.0, args.points))
     rows = zip(grid.tolist(), f.value_left(grid).tolist(), f.value_right(grid).tolist())
     _write_csv(args.out, "x,left,right", rows)
@@ -287,9 +289,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (SelfSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}: a value is not finite", file=sys.stderr)
         return 2
 
 

@@ -141,7 +141,8 @@ def contraction_factor(system: SimilaritySystem, p) -> ContractionReport:
     if math.isinf(p):
         r = float(d.max())
     else:
-        r = float(np.asarray(system.a) @ d**p)
+        with np.errstate(over="ignore"):  # |d_k|^p may overflow: r_p = inf, not contractive
+            r = float(np.asarray(system.a) @ d**p)
     return ContractionReport(p=p, r_p=r, contractive=r < 1.0)
 
 

@@ -138,6 +138,11 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     piece: every value of its full image is beta_k and every slope 0, so
     merged() would drop all of its interior breakpoints, and the decisions
     at alpha_k and alpha_{k+1} see the same slope 0 either way.
+
+    It does not check finiteness itself: parameters that overflow give
+    infinite or NaN values (and numpy warnings).  solve checks its certified
+    error and raises NonFinite; the CLI turns the first overflow into one
+    error line and exit 2.
     """
     maps = branches(system)
     full = (f.x, f.yl, f.yr)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,16 @@ def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error" in err
+
+
+def test_validate_overflowing_r_p(capsys, tmp_path):
+    # |d_1|^1000 overflows: r_p = inf is reported as not contractive, not an error
+    path = tmp_path / "nc.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "c": [0.0, 0.0], "d": [3.0, 0.5], "beta": [0.0, 0.5]}))
+    code, out, err = run(capsys, "validate", str(path), "--p", "1", "1000", "--json")
+    assert code == 0 and err == ""
+    by_p = {rep["p"]: rep for rep in json.loads(out)["reports"]}
+    assert by_p[1000.0]["r_p"] == float("inf") and not by_p[1000.0]["contractive"]
 
 
 def test_usage_error(capsys):
@@ -264,3 +278,23 @@ def test_solve_overflow_exit_2(capsys, tmp_path, command):
         code, out, err = run(capsys, command, str(path), "--p", "inf", "--max-iter", "10", "--json")
     assert code == 2
     assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "norms", "render", "check"])
+def test_overflow_is_one_error_line(tmp_path, command):
+    # a child process with numpy's default error handling: before, solve,
+    # norms and render printed 4-5 RuntimeWarnings ahead of the error line
+    path = tmp_path / "big.json"
+    big = {"a": [0.5, 0.5], "c": [1e308, 1e308], "d": [0.5, 0.5], "beta": [1e308, 1e308]}
+    path.write_text(json.dumps(big))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfsim.cli", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "RuntimeWarning" not in proc.stderr

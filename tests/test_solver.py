@@ -101,7 +101,7 @@ def test_piece_integrals_match_mpmath(p, g0, g1, h, rel):
         assert abs((mpmath.mpf(got) - expected) / expected) < rel
 
 
-@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.25, 20])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4, 5, 6, 7.25, 20])
 @pytest.mark.parametrize("side", [0.9, 1.1])
 @pytest.mark.parametrize("g0", [1.0, -3.5])
 def test_piece_integrals_at_the_switch(p, side, g0):
@@ -115,6 +115,126 @@ def test_piece_integrals_at_the_switch(p, side, g0):
         G0, G1, H, P = (mpmath.mpf(v) for v in (g0, g1, 0.6, p))
         expected = mpmath.quad(lambda t: abs(G0 + (G1 - G0) * t / H) ** P, [0, H])
         assert abs((mpmath.mpf(got) - expected) / expected) < 1e-14
+
+
+def _piece_integrals_reference(g0, g1, h, p):
+    # the masked-gather form that _piece_integrals replaced: the same float
+    # operations per element, so results must agree to the bit
+    g0 = np.asarray(g0, dtype=float)
+    g1 = np.asarray(g1, dtype=float)
+    dg = g1 - g0
+    scale = np.maximum(np.abs(g0), np.abs(g1))
+    out = np.empty_like(g0)
+    near = np.abs(dg) <= solver.NEAR_CONSTANT / (p + 1.0) * scale
+    exact = ~near
+    if exact.any():
+        a0, a1, d = g0[exact], g1[exact], dg[exact]
+        A0 = np.sign(a0) * np.abs(a0) ** (p + 1.0)
+        A1 = np.sign(a1) * np.abs(a1) ** (p + 1.0)
+        out[exact] = (A1 - A0) / (d * (p + 1.0)) * h[exact]
+    if near.any():
+        gm = 0.5 * (g0[near] + g1[near])
+        delta = np.where(gm != 0.0, dg[near] / np.where(gm != 0.0, gm, 1.0), 0.0)
+        d2 = delta**2
+        c1 = p * (p - 1.0) / 24.0
+        c2 = c1 * (p - 2.0) * (p - 3.0) / 80.0
+        c3 = c2 * (p - 4.0) * (p - 5.0) / 168.0
+        out[near] = np.abs(gm) ** p * (1.0 + d2 * (c1 + d2 * (c2 + d2 * c3))) * h[near]
+    return out
+
+
+def _mixed_pieces(rng, n, p, big=False):
+    """g0, g1, h mixing near-constant, closed-form, zero, +-0, sign-change,
+    one-ulp, switch-boundary and large antisymmetric pieces (and overflowing
+    1e300-scale ones if big)."""
+    g0 = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 5, n)
+    kind = rng.integers(0, 9, n)
+    switch = solver.NEAR_CONSTANT / (p + 1.0)
+    g1 = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5, n)  # mostly closed form
+    g1 = np.where(kind == 0, g0, g1)
+    g1 = np.where(kind == 1, g0 * (1.0 + rng.uniform(-1.0, 1.0, n) * switch), g1)
+    g1 = np.where(kind == 2, g0 * (1.0 + rng.choice([0.999, 1.0, 1.001], n) * switch), g1)
+    g1 = np.where(kind == 3, -g0, g1)
+    g1 = np.where(kind == 4, np.nextafter(g0, np.inf), g1)
+    g1 = np.where(kind == 5, rng.choice([0.0, -0.0], n), g1)
+    g0 = np.where(kind == 6, rng.choice([0.0, -0.0], n), g0)
+    g1 = np.where(kind == 6, rng.choice([0.0, -0.0, 1.0], n), g1)
+    g1 = np.where(kind == 7, -np.nextafter(g0, 0.0), g1)
+    # gm = 0 on a closed-form piece, at the largest scale whose |g|^(p+1)
+    # does not overflow: the reference computes no expansion there
+    top = 10.0 ** (290.0 / (p + 1.0))
+    g0 = np.where(kind == 8, rng.choice([top, -top, 1e-200], n), g0)
+    g1 = np.where(kind == 8, -g0, g1)
+    if big:
+        g0 = np.where(kind == 8, rng.choice([1e300, -1e300, 1.7e308, 1e60], n), g0)
+        g1 = np.where(kind == 8, g0 * rng.choice([1.0, -1.0, 1.01, 0.5], n), g1)
+    return g0, g1, rng.uniform(0.0, 1.0, n)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3, 4, 5, 6, 7.25, 20])
+def test_piece_integrals_matches_reference(p):
+    rng = np.random.default_rng(int(p * 100))
+    p = float(p)
+    for n in (1, 2, 7, 3000):
+        g0, g1, h = _mixed_pieces(rng, n, p)
+        _assert_bitwise(solver._piece_integrals(g0, g1, h, p), _piece_integrals_reference(g0, g1, h, p))
+    # overflowing values warn in both forms; the results still agree
+    g0, g1, h = _mixed_pieces(rng, 3000, p, big=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _piece_integrals_reference(g0, g1, h, p)
+        _assert_bitwise(solver._piece_integrals(g0, g1, h, p), want)
+    # every piece near-constant, every piece closed form
+    g0 = rng.normal(size=500)
+    h = rng.uniform(0.0, 1.0, 500)
+    switch = solver.NEAR_CONSTANT / (p + 1.0)
+    for g1 in (g0 * (1.0 + rng.uniform(-0.9, 0.9, 500) * switch), -g0 + 0.25):
+        _assert_bitwise(solver._piece_integrals(g0, g1, h, p), _piece_integrals_reference(g0, g1, h, p))
+    # a NaN piece takes the closed form and stays NaN
+    got = solver._piece_integrals(np.array([np.nan, 1.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]), p)
+    assert np.isnan(got[0]) and got[1] == 0.5
+
+
+def _mixed_function(rng, p):
+    """A 60-200-piece function with jumps, flat, near-constant, sign-change
+    and generic pieces."""
+    m = int(rng.integers(60, 201))
+    x = np.unique(np.concatenate(([0.0], rng.uniform(0.0, 1.0, m - 1), [1.0])))
+    k = x.size
+    yr = rng.normal(size=k) * 10.0 ** rng.uniform(-2, 2, k)
+    kind = rng.integers(0, 4, k)
+    yl = np.where(kind == 0, yr, rng.normal(size=k))  # continuous at x[i], or a jump
+    near = np.roll(yr, 1) * (1.0 + rng.uniform(-0.9, 0.9, k) * solver.NEAR_CONSTANT / (p + 1.0))
+    yl = np.where(kind == 1, near, yl)  # piece i - 1 is near-constant
+    yl = np.where(kind == 2, np.roll(yr, 1), yl)  # piece i - 1 is flat
+    return PiecewiseLinearFn(x, yl, yr)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 4])
+def test_lp_norm_of_mixed_function_matches_mpmath(p):
+    # oracle: sum over f's pieces of the 50-digit closed form
+    # h (F(g1) - F(g0)) / (g1 - g0), F(u) = sign(u)|u|^{p+1}/(p+1)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(p * 10) + 77)
+    for _ in range(4):
+        f = _mixed_function(rng, p)
+        with mpmath.workdps(50):
+            P = mpmath.mpf(p)
+            total = mpmath.mpf(0)
+            for x0, x1, g0, g1 in zip(f.x[:-1], f.x[1:], f.yr[:-1], f.yl[1:]):
+                G0, G1, H = mpmath.mpf(g0), mpmath.mpf(g1), mpmath.mpf(x1) - mpmath.mpf(x0)
+                if G0 == G1:
+                    total += abs(G0) ** P * H
+                else:
+                    F0 = mpmath.sign(G0) * abs(G0) ** (P + 1) / (P + 1)
+                    F1 = mpmath.sign(G1) * abs(G1) ** (P + 1) / (P + 1)
+                    total += H * (F1 - F0) / (G1 - G0)
+            expected = total ** (1 / P)
+            assert abs((mpmath.mpf(lp_norm(f, p)) - expected) / expected) < 1e-13
 
 
 def test_sup_norm_of_negative_zero_is_positive_zero():
