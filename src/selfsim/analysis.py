@@ -117,11 +117,13 @@ def norm_bound_fractional(system: SimilaritySystem, p: float) -> NormBound:
     cb_max = max(abs(ck) + abs(bk) for ck, bk in zip(system.c, system.beta))
     d_max = max(abs(dk) for dk in system.d)
     C = max(cb_max**fp, d_max**fp, norm_sum**fp) ** (1.0 / p)
-    num = (norms[ip - 1] ** ip + norm_sum) ** (ip / p)
+    # ||{c,beta}||_[p]^[p] may pass the float range: numpy gives inf (and its
+    # overflow warning) where a Python float raises OverflowError
+    num = (np.float64(norms[ip - 1]) ** ip + norm_sum) ** (ip / p)
     den = ((1.0 - rp) * math.prod(1.0 - r for r in rs)) ** (1.0 / p)
     return NormBound(
         p=p,
-        bound=C * num / den,
+        bound=float(C * num / den),
         components={"weighted_norms": norms, "r_s": rs, "r_p": rp, "C": C},
     )
 

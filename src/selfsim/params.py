@@ -150,6 +150,9 @@ def weighted_pair_norm(x: Sequence[float], y: Sequence[float], s, a: Sequence[fl
     """Weighted pair norm ||{x,y}||_{s,a} = (sum (|x_k|+|y_k|)^s a_k)^{1/s}.
 
     For s = inf the weights drop out and the norm is max_k (|x_k|+|y_k|).
+    When the sum overflows or underflows to 0 although some pair is finite
+    and nonzero, the pairs are divided by the largest one, m, first:
+    m (sum (pair_k/m)^s a_k)^{1/s}.
     """
     s = check_exponent(s)
     x = np.abs(np.asarray(x, dtype=float))
@@ -162,4 +165,9 @@ def weighted_pair_norm(x: Sequence[float], y: Sequence[float], s, a: Sequence[fl
     a = np.asarray(a, dtype=float)
     if a.shape != pair.shape:
         raise LengthMismatch("weights length differs from vectors")
-    return float((pair**s @ a) ** (1.0 / s))
+    with np.errstate(over="ignore"):
+        total = pair**s @ a
+    m = pair.max(initial=0.0)
+    if 0.0 < total < math.inf or not 0.0 < m < math.inf:
+        return float(total ** (1.0 / s))
+    return float(m * ((pair / m) ** s @ a) ** (1.0 / s))

@@ -17,6 +17,12 @@ from .errors import NonFinite, SelfSimError
 # agree to this relative tolerance (rounding scale for exactly collinear data).
 _MERGE_SLOPE_TOL = 1e-13
 
+# Pieces per block in the blocked loops over large arrays (merged, and the
+# L_p integrator): a block's temporaries stay in cache and are reused by the
+# allocator, where full-size ones are returned to the kernel and fault in
+# fresh pages on every call.
+_BLOCK = 8192
+
 
 class PiecewiseLinearFn:
     __slots__ = ("x", "yl", "yr")
@@ -100,19 +106,27 @@ class PiecewiseLinearFn:
         input, so the represented function is unchanged up to rounding of
         the slopes.  When every interior breakpoint carries a jump no slope
         is computed and self is returned.
+
+        The slope test runs over blocks of _BLOCK breakpoints, each
+        recomputing the one slope it shares with the next, so its temporaries
+        stay in cache instead of faulting in fresh full-size arrays; the
+        decisions are those of one full-size pass.
         """
         x, yl, yr = self.x, self.yl, self.yr
         drop = yl[1:-1] == yr[1:-1]
         if not drop.any():
             return self
-        s = yl[1:] - yr[:-1]
-        s /= np.diff(x)
-        abs_s = np.abs(s)
-        scale = np.maximum(abs_s[:-1], abs_s[1:])
-        np.maximum(scale, 1.0, out=scale)
-        scale *= _MERGE_SLOPE_TOL
-        gap = np.subtract(s[1:], s[:-1], out=abs_s[1:])
-        drop &= np.abs(gap, out=gap) <= scale
+        # junction j sits between pieces j and j + 1
+        for lo in range(0, drop.size, _BLOCK):
+            hi = min(lo + _BLOCK, drop.size)
+            s = yl[lo + 1 : hi + 2] - yr[lo : hi + 1]
+            s /= x[lo + 1 : hi + 2] - x[lo : hi + 1]
+            abs_s = np.abs(s)
+            scale = np.maximum(abs_s[:-1], abs_s[1:])
+            np.maximum(scale, 1.0, out=scale)
+            scale *= _MERGE_SLOPE_TOL
+            gap = np.subtract(s[1:], s[:-1], out=abs_s[1:])
+            drop[lo:hi] &= np.abs(gap, out=gap) <= scale
         if not drop.any():
             return self
         keep = np.ones(x.size, dtype=bool)

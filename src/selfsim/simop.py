@@ -11,8 +11,10 @@ f(S_k(t)) = c_k t + d_k f(t) + beta_k at each step.
 Every recursion in the library (G, meshes, code points, the measure) is the
 step (t, v) <- (a_k t + alpha_k, (c_k t + beta_k) + d_k v), with the image
 of t = 1 exactly alpha_{k+1}.  It is written twice, vectorized in
-:func:`_image` and as the scalar fold :func:`_fold` over one word; both round
-in this order, so a code-point value equals its mesh value bitwise.
+:func:`_image` (from its halves :func:`_drift`, :func:`_values` and
+:func:`_points`, which apply_G calls directly) and as the scalar fold
+:func:`_fold` over one word; both round in this order, so a code-point value
+equals its mesh value bitwise.
 """
 
 from __future__ import annotations
@@ -46,21 +48,38 @@ class BoundaryAnchors:
     f1: float
 
 
+def _drift(branch: Branch, t: np.ndarray, out) -> np.ndarray:
+    """c_k t + beta_k, the part of the value step that reads t, into out
+    (None: a new array).  out may alias t."""
+    out = np.multiply(t, branch.c, out=out)
+    out += branch.beta
+    return out
+
+
+def _values(branch: Branch, drift: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """The value step (c_k t + beta_k) + d_k v into out, from drift = :func:`_drift`."""
+    np.multiply(v, branch.d, out=out)
+    out += drift
+
+
+def _points(branch: Branch, t: np.ndarray, out: np.ndarray) -> None:
+    """The point step a_k t + alpha_k into out, without the t = 1 snap.
+    out may alias t."""
+    np.multiply(t, branch.a, out=out)
+    out += branch.lo
+
+
 def _image(branch: Branch, t: np.ndarray, v, t_out, v_out=None) -> None:
     """The step for one branch, written into t_out and v_out (either may be
-    None).  Branch fields may be arrays broadcast against t; t_out may alias
-    t only without v_out, as it holds c_k t + beta_k meanwhile."""
-    a, lo, hi, c, d, beta = branch
+    None), with t = 1 mapped exactly to alpha_{k+1}.  Branch fields may be
+    arrays broadcast against t; t_out may alias t only without v_out, as it
+    holds c_k t + beta_k meanwhile."""
     if v_out is not None:
-        drift = np.multiply(t, c, out=t_out)
-        drift += beta
-        np.multiply(v, d, out=v_out)
-        v_out += drift
+        _values(branch, _drift(branch, t, t_out), v, v_out)
     if t_out is not None:
         ones = t == 1.0
-        np.multiply(t, a, out=t_out)
-        t_out += lo
-        np.copyto(t_out, hi, where=ones)
+        _points(branch, t, t_out)
+        np.copyto(t_out, branch.hi, where=ones)
 
 
 def _fold(maps: Sequence[Branch], word: Sequence[int], t: float, v: float) -> tuple[float, float]:
@@ -143,6 +162,11 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     infinite or NaN values (and numpy warnings).  solve checks its certified
     error and raises NonFinite; the CLI turns the first overflow into one
     error line and exit 2.
+
+    Each branch is written straight into its slices of the three output
+    arrays, with no full-size temporary: a fresh temporary of an iterate's
+    size is returned to the kernel when freed and faults in new pages on the
+    next call.  merged() then works in cache-sized blocks.
     """
     maps = branches(system)
     full = (f.x, f.yl, f.yr)
@@ -155,18 +179,23 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     lo = 0
     for branch, (x, g_yl, g_yr) in zip(maps, sources):
         end = lo + x.size - 1
-        # scaled breakpoints with the right limits there (the junction
-        # alpha_{k+1} takes its right limit from the next branch's first point)
-        _image(branch, x[:-1], g_yr[:-1], xs[lo:end], yr[lo:end])
-        # left limits, including this branch's contribution at alpha_{k+1}
-        _image(branch, x[1:], g_yl[1:], None, yl[lo + 1 : end + 1])
+        # c_k x + beta_k at every point, parked in the branch's breakpoint
+        # slots (xs[end] is the next branch's first breakpoint, or 1)
+        drift = _drift(branch, x, xs[lo : end + 1])
+        # right limits at the scaled breakpoints (the junction alpha_{k+1}
+        # takes its right limit from the next branch's first point), and left
+        # limits, including this branch's contribution at alpha_{k+1}
+        _values(branch, drift[:-1], g_yr[:-1], yr[lo:end])
+        _values(branch, drift[1:], g_yl[1:], yl[lo + 1 : end + 1])
+        # x[:-1] < 1, so the breakpoints need no t = 1 snap
+        _points(branch, x[:-1], xs[lo:end])
         lo = end
     xs[-1] = 1.0
     yl[0] = yr[0]
     yr[-1] = yl[-1]
     # scaling can round distinct breakpoints to the same float; collapse each
     # run to one breakpoint keeping the outer one-sided limits
-    if (np.diff(xs) == 0.0).any():
+    if (xs[1:] == xs[:-1]).any():
         pos = np.diff(xs) > 0.0
         first = np.concatenate(([True], pos))
         last = np.concatenate((pos, [True]))

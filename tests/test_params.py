@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from selfsim import (
     SimilaritySystem,
     contraction_factor,
+    norm_bound,
     validate,
     weighted_pair_norm,
 )
@@ -116,6 +117,47 @@ def test_weighted_pair_norm_cantor():
 def test_weighted_pair_norm_zero():
     for s in (1, 2, 3.5, math.inf):
         assert weighted_pair_norm((0, 0), (0, 0), s, (0.5, 0.5)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("s", [1, 2, 2.5, 3, 7.25])
+def test_weighted_pair_norm_past_the_float_range(scale, s):
+    # (|x_k|+|y_k|)^s overflows or underflows although the norm is a normal float
+    mpmath = pytest.importorskip("mpmath")
+    x, y, a = (scale, 0.3 * scale, 0.0), (scale, 0.0, 0.0), (0.25, 0.5, 0.25)
+    with mpmath.workdps(50):
+        pair = [mpmath.mpf(u) + mpmath.mpf(v) for u, v in zip(x, y)]
+        total = sum(q ** mpmath.mpf(s) * mpmath.mpf(w) for q, w in zip(pair, a))
+        exact = total ** (1 / mpmath.mpf(s))
+        got = weighted_pair_norm(x, y, s, a)
+        assert abs((mpmath.mpf(got) - exact) / exact) < 1e-14
+    assert weighted_pair_norm((scale, scale), (scale, scale), s, (0.5, 0.5)) == 2.0 * scale
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norm_bound_scales_past_the_float_range(scale):
+    # the integer-p bound is homogeneous in (c, beta): scaling them scales it
+    def system(v):
+        return SimilaritySystem(a=(0.5, 0.5), c=(v, v), d=(0.5, 0.5), beta=(v, v))
+
+    for p in (2, 3, 5):
+        want = scale * norm_bound(system(1.0), p).bound
+        assert norm_bound(system(scale), p).bound == pytest.approx(want, rel=1e-14)
+    if scale > 1.0:
+        # at p = 2.5 the bound itself, about 1e361, is past the float range:
+        # inf with numpy's warning, not a Python OverflowError
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert norm_bound(system(scale), 2.5).bound == math.inf
+
+
+def test_weighted_pair_norm_unchanged_in_range():
+    # a finite, positive sum keeps the unscaled form bit for bit
+    rng = np.random.default_rng(5)
+    for s in (1.0, 2.0, 2.5, 3.0, 7.25):
+        x, y = rng.normal(size=4) * 10.0 ** rng.uniform(-5, 5, 4), rng.normal(size=4)
+        a = rng.dirichlet(np.ones(4))
+        pair = np.abs(x) + np.abs(y)
+        assert weighted_pair_norm(x, y, s, a) == float((pair**s @ a) ** (1.0 / s))
 
 
 def test_weighted_pair_norm_inf():

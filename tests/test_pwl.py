@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selfsim import PiecewiseLinearFn
+from selfsim import PiecewiseLinearFn, pwl
 from selfsim.errors import NonFinite, SelfSimError
 
 
@@ -100,15 +100,54 @@ def _random_merge_case(rng, kind):
     return x, y, yr
 
 
-@pytest.mark.parametrize("kind", ["jumps", "collinear", "gap", "small", "zeros", "mixed"])
+def _assert_merged_matches_reference(f):
+    got, want = f.merged(), _merged_reference(f)
+    for a, b in ((got.x, want.x), (got.yl, want.yl), (got.yr, want.yr)):
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+MERGE_KINDS = ["jumps", "collinear", "gap", "small", "zeros", "mixed"]
+
+
+@pytest.mark.parametrize("kind", MERGE_KINDS)
 def test_merged_matches_reference(rng, kind):
     for _ in range(200):
         f = PiecewiseLinearFn(*_random_merge_case(rng, kind))
-        got, want = f.merged(), _merged_reference(f)
-        for a, b in ((got.x, want.x), (got.yl, want.yl), (got.yr, want.yr)):
-            assert a.tobytes() == b.tobytes()
+        got = _assert_merged_matches_reference(f)
         if kind == "jumps" and f.n_pieces > 1:
             assert got is f  # no jump-free junction: returned unchanged
+
+
+@pytest.mark.parametrize("kind", MERGE_KINDS)
+def test_merged_across_small_blocks(rng, kind, monkeypatch):
+    # blocks of 7 junctions put block edges all over the 3-40-piece cases
+    monkeypatch.setattr(pwl, "_BLOCK", 7)
+    for _ in range(200):
+        _assert_merged_matches_reference(PiecewiseLinearFn(*_random_merge_case(rng, kind)))
+
+
+def test_merged_drops_on_block_edges(rng):
+    # 4 blocks of pieces on a dyadic grid with integer slopes, so every slope
+    # is exact; jump-free collinear junctions sit on both sides of each block
+    # edge, every other junction has a jump or a slope change of 1-3
+    n = 4 * pwl._BLOCK
+    edges = {e + k for e in range(pwl._BLOCK, n - 1, pwl._BLOCK) for k in (-2, -1, 0)}
+    edges |= {0, n - 2}  # the first and last junction
+    step = rng.choice([-3, -2, -1, 1, 2, 3], n - 1)
+    slopes = np.concatenate(([0], np.cumsum(np.where(np.isin(np.arange(n - 1), list(edges)), 0, step))))
+    jumps = np.where(rng.uniform(size=n - 1) < 0.3, rng.integers(1, 5, n - 1), 0)
+    jumps[list(edges)] = 0
+    # integer numerators over n: yr[i] = yl[i] + jump, yl[i + 1] = yr[i] + slope_i
+    yl, yr = np.zeros(n + 1), np.zeros(n + 1)
+    for i in range(n):
+        yr[i] = yl[i] + (jumps[i - 1] if 0 < i else 0)
+        yl[i + 1] = yr[i] + slopes[i]
+    yr[n] = yl[n]
+    f = PiecewiseLinearFn(np.arange(n + 1) / n, yl / n, yr / n)
+    assert np.array_equal(f.slopes(), slopes)
+    got = _assert_merged_matches_reference(f)
+    assert got.n_pieces == n - len(edges)
 
 
 def test_merged_tolerance_boundary():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +14,18 @@ from selfsim import (
     code_to_segment,
     exact_value_at_code_point,
     iterate_closed_form,
+    lp_norm,
     mesh_code_values,
+    pwl,
     validate,
 )
 from selfsim.errors import BadIndex, DepthTooLarge, NonzeroC, Unbounded
 from selfsim.params import branches
 from selfsim.simop import _image
-from selfsim.presets import cantor_family, counterexample, identity2
+from selfsim.presets import bernoulli, cantor_family, counterexample, identity2
 
 from conftest import random_system
+from test_pwl import _merged_reference
 
 CANTOR = cantor_family(1.0 / 3.0, 0.0)
 
@@ -63,8 +67,9 @@ def test_apply_G_carries_jumps():
 
 
 def _apply_G_reference(system, f):
-    # every branch imaged over all of f's points, collapsed and merged, as
-    # apply_G did before constant branches were written as one piece
+    # every branch imaged over all of f's points by the whole step, collapsed
+    # and merged in one pass, as apply_G did before constant branches were
+    # written as one piece and before its kernels were blocked
     maps = branches(system)
     m = f.x.size
     xs = np.empty(len(maps) * (m - 1) + 1)
@@ -80,7 +85,7 @@ def _apply_G_reference(system, f):
     pos = np.diff(xs) > 0.0
     first = np.concatenate(([True], pos))
     last = np.concatenate((pos, [True]))
-    return PiecewiseLinearFn(xs[first], yl[first], yr[last], _trusted=True).merged()
+    return _merged_reference(PiecewiseLinearFn(xs[first], yl[first], yr[last], _trusted=True))
 
 
 def _with_constant_branch(system, k, beta):
@@ -110,6 +115,71 @@ def test_apply_G_constant_branch_matches_full_image(rng):
                 f, g = apply_G(system, f), _apply_G_reference(system, g)
                 for a, b in ((f.x, g.x), (f.yl, g.yl), (f.yr, g.yr)):
                     assert a.tobytes() == b.tobytes()
+
+
+def test_apply_G_collapses_breakpoints_that_round_together():
+    # 0.5 x + 0.5 rounds x = 1e-20 onto x = 0: the run keeps one breakpoint
+    # with the outer one-sided limits
+    s = SimilaritySystem(a=(0.5, 0.5), c=(0.2, -0.1), d=(0.4, 0.3), beta=(0.1, 0.3))
+    f = PiecewiseLinearFn([0.0, 1e-20, 1.0], [1.0, 2.0, 3.0], [1.0, -1.0, 3.0])
+    g, want = apply_G(s, f), _apply_G_reference(s, f)
+    assert np.all(np.diff(g.x) > 0.0) and g.n_pieces == 3
+    for a, b in ((g.x, want.x), (g.yl, want.yl), (g.yr, want.yr)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _iterate(system, m):
+    """G^(m-1) applied to the identity: the input of the depth-m step."""
+    f = PiecewiseLinearFn.identity()
+    for _ in range(m - 1):
+        f = apply_G(system, f)
+    return f
+
+
+DEEP = [
+    (bernoulli(0.3), 15),
+    (cantor_family(0.3, 0.08), 10),
+    (random_system(np.random.default_rng(3), n=3), 10),
+]
+
+
+@pytest.mark.parametrize("system, depth", DEEP, ids=["bernoulli", "cantor_family", "random3"])
+def test_apply_G_deep_iterates_match_reference(system, depth):
+    # iterates of thousands of pieces, whose merge runs over several blocks
+    f = PiecewiseLinearFn.identity()
+    for _ in range(depth):
+        g, f = _apply_G_reference(system, f), apply_G(system, f)
+        for a, b in ((f.x, g.x), (f.yl, g.yl), (f.yr, g.yr)):
+            assert a.tobytes() == b.tobytes()
+    assert f.n_pieces >= 3 * pwl._BLOCK
+
+
+MEMORY = [
+    (random_system(np.random.default_rng(4), n=4), 9, 262_144),
+    (cantor_family(0.3, 0.08), 11, 177_147),
+    (bernoulli(0.3), 17, 98_304),
+]
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("system, depth, pieces", MEMORY, ids=["random4", "cantor_family", "bernoulli"])
+def test_solve_kernels_allocate_little_beyond_their_output(system, depth, pieces):
+    # apply_G writes into its outputs, and merged and the L_p integrator work
+    # in blocks: no full-size temporary is made beside the result
+    f = _iterate(system, depth)
+    g, apply_peak = _traced_peak(lambda: apply_G(system, f))
+    assert g.n_pieces == pieces
+    assert apply_peak <= 1.25 * (g.x.nbytes + g.yl.nbytes + g.yr.nbytes)
+    _, norm_peak = _traced_peak(lambda: lp_norm(g, 2.5))
+    assert norm_peak <= 1.5 * g.x.nbytes
 
 
 # ----------------------------------------------------------------------

@@ -199,10 +199,10 @@ def test_piece_integrals_matches_reference(p):
     assert np.isnan(got[0]) and got[1] == 0.5
 
 
-def _mixed_function(rng, p):
-    """A 60-200-piece function with jumps, flat, near-constant, sign-change
-    and generic pieces."""
-    m = int(rng.integers(60, 201))
+def _mixed_function(rng, p, m=None):
+    """A function of m (default 60-200) pieces with jumps, flat,
+    near-constant, sign-change and generic pieces."""
+    m = int(rng.integers(60, 201)) if m is None else m
     x = np.unique(np.concatenate(([0.0], rng.uniform(0.0, 1.0, m - 1), [1.0])))
     k = x.size
     yr = rng.normal(size=k) * 10.0 ** rng.uniform(-2, 2, k)
@@ -235,6 +235,20 @@ def test_lp_norm_of_mixed_function_matches_mpmath(p):
                     total += H * (F1 - F0) / (G1 - G0)
             expected = total ** (1 / P)
             assert abs((mpmath.mpf(lp_norm(f, p)) - expected) / expected) < 1e-13
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.25])
+def test_blocked_norm_matches_one_pass(p):
+    # the blocked integrator sums the same piece integrals as one full pass
+    rng = np.random.default_rng(int(p * 4) + 5)
+    block = solver._BLOCK
+    for m in (block - 1, block, block + 1, 3 * block + 5):
+        f = _mixed_function(rng, p, m)
+        assert f.n_pieces == m
+        one_pass = solver._piece_integrals(f.yr[:-1], f.yl[1:], np.diff(f.x), p)
+        want = float(one_pass.sum()) ** (1.0 / p)
+        assert solver._norm(f.x, f.yl, f.yr, p) == want
+        assert lp_norm(f, p) == want
 
 
 def test_sup_norm_of_negative_zero_is_positive_zero():
