@@ -14,9 +14,6 @@ from .analysis import (
     family_bound,
     monotonicity_classify,
     norm_bound,
-    norm_bound_fractional,
-    norm_bound_infinity,
-    norm_bound_integer,
     stability_bound,
     variation_criterion,
     variation_on_mesh,
@@ -42,14 +39,11 @@ from .params import (
 )
 from .pwl import PiecewiseLinearFn
 from .simop import (
-    BoundaryAnchors,
-    Mesh,
     apply_G,
     boundary_anchors,
     build_mesh,
     code_to_segment,
     exact_value_at_code_point,
-    iterate_closed_form,
     mesh_code_values,
 )
 from .solver import SolveResult, lp_distance, lp_norm, solve

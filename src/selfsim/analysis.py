@@ -85,70 +85,43 @@ def _intermediate_factors(system: SimilaritySystem, top: int):
     return norms, rs
 
 
-def norm_bound_integer(system: SimilaritySystem, p: int) -> NormBound:
-    """A-priori bound for integer p:
-    (sum_{s=1..p} ||{c,beta}||_{s,a}) / (prod_{s=1..p} (1-r_s))^{1/p}.
+def norm_bound(system: SimilaritySystem, p) -> NormBound:
+    """A-priori bound on ||f||_p of the fixed point.
+
+    With cb_max = max_k(|c_k|+|beta_k|) and N_s = ||{c,beta}||_{s,a}:
+    integer p: (sum_{s=1..p} N_s) / (prod_{s=1..p} (1-r_s))^{1/p};
+    non-integer p: C (N_[p]^[p] + sum_{s<=[p]} N_s)^{[p]/p} /
+    ((1-r_p) prod_{s<=[p]} (1-r_s))^{1/p}, with the explicit constant
+    C = max(cb_max, max_k |d_k|, sum_{s<=[p]} N_s)^{(p-[p])/p};
+    p = inf: cb_max / (1 - max_k |d_k|).
     """
-    p = int(p)
-    if p < 1:
-        raise BadExponent(f"integer exponent must be >= 1, got {p}")
-    norms, rs = _intermediate_factors(system, p)
-    num = math.fsum(norms)
-    den = math.prod(1.0 - r for r in rs) ** (1.0 / p)
-    return NormBound(
-        p=float(p),
-        bound=num / den,
-        components={"weighted_norms": norms, "r_s": rs},
-    )
-
-
-def norm_bound_fractional(system: SimilaritySystem, p: float) -> NormBound:
-    """A-priori bound for non-integer p > 1 with the explicit constant C."""
     p = check_exponent(p)
-    if math.isinf(p) or p == int(p):
-        raise BadExponent(f"fractional bound needs non-integer finite p, got {p}")
-    ip = int(math.floor(p))  # [p]
-    fp = p - ip  # {p}
+    ip = 0 if math.isinf(p) else int(p)  # [p]
     norms, rs = _intermediate_factors(system, ip)
-    rp = contraction_factor(system, p).r_p
-    if rp >= 1.0:
-        raise NotContractive(f"r_p = {rp} >= 1 at p = {p}")
-    norm_sum = math.fsum(norms)
+    if p == ip:
+        bound = math.fsum(norms) / math.prod(1.0 - r for r in rs) ** (1.0 / p)
+        return NormBound(p=p, bound=bound, components={"weighted_norms": norms, "r_s": rs})
+    r_p = contraction_factor(system, p).r_p
+    if r_p >= 1.0:
+        raise NotContractive(f"r_p = {r_p} >= 1 at p = {p}")
     cb_max = max(abs(ck) + abs(bk) for ck, bk in zip(system.c, system.beta))
+    if math.isinf(p):
+        return NormBound(
+            p=p, bound=cb_max / (1.0 - r_p), components={"cb_max": cb_max, "r_inf": r_p}
+        )
+    fp = p - ip  # {p}
+    norm_sum = math.fsum(norms)
     d_max = max(abs(dk) for dk in system.d)
     C = max(cb_max**fp, d_max**fp, norm_sum**fp) ** (1.0 / p)
     # ||{c,beta}||_[p]^[p] may pass the float range: numpy gives inf (and its
     # overflow warning) where a Python float raises OverflowError
     num = (np.float64(norms[ip - 1]) ** ip + norm_sum) ** (ip / p)
-    den = ((1.0 - rp) * math.prod(1.0 - r for r in rs)) ** (1.0 / p)
+    den = ((1.0 - r_p) * math.prod(1.0 - r for r in rs)) ** (1.0 / p)
     return NormBound(
         p=p,
         bound=float(C * num / den),
-        components={"weighted_norms": norms, "r_s": rs, "r_p": rp, "C": C},
+        components={"weighted_norms": norms, "r_s": rs, "r_p": r_p, "C": C},
     )
-
-
-def norm_bound_infinity(system: SimilaritySystem) -> NormBound:
-    """Sup-norm bound max_k(|c_k|+|beta_k|) / (1 - max_k |d_k|)."""
-    r_inf = contraction_factor(system, math.inf).r_p
-    if r_inf >= 1.0:
-        raise NotContractive(f"r_inf = {r_inf} >= 1")
-    cb_max = max(abs(ck) + abs(bk) for ck, bk in zip(system.c, system.beta))
-    return NormBound(
-        p=math.inf,
-        bound=cb_max / (1.0 - r_inf),
-        components={"cb_max": cb_max, "r_inf": r_inf},
-    )
-
-
-def norm_bound(system: SimilaritySystem, p) -> NormBound:
-    """Dispatch to the integer, fractional, or sup-norm bound."""
-    p = check_exponent(p)
-    if math.isinf(p):
-        return norm_bound_infinity(system)
-    if p == int(p):
-        return norm_bound_integer(system, int(p))
-    return norm_bound_fractional(system, p)
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +143,7 @@ def continuity_check(system: SimilaritySystem, tol: float = DEFAULT_TOL) -> Regu
         k_bad = int(np.argmax(np.abs(system.d)))
         witnesses.append(_witness("max|d|<1", index=k_bad + 1, residual=d_max - 1.0))
         return RegularityVerdict("continuity", "fails", tuple(witnesses))
-    anchors = boundary_anchors(system)
-    f0, f1 = anchors.f0, anchors.f1
+    f0, f1 = boundary_anchors(system)
     for k in range(system.n - 1):
         lhs = system.c[k] + system.d[k] * f1 + system.beta[k]
         rhs = system.d[k + 1] * f0 + system.beta[k + 1]
@@ -232,8 +204,7 @@ def monotonicity_classify(system: SimilaritySystem, tol: float = DEFAULT_TOL) ->
     check_tol(tol)
     validate(system)
     require_bounded(system)
-    anchors = boundary_anchors(system)
-    f0, f1 = anchors.f0, anchors.f1
+    f0, f1 = boundary_anchors(system)
 
     witnesses = _necessary_monotone_witnesses(system, f0, f1, tol)
     if witnesses:
@@ -274,12 +245,12 @@ def normalization_violations(system: SimilaritySystem, tol: float) -> list:
     """Which of c = 0, bounded, f0 = 0 and f1 = 1 the system violates."""
     violated = [] if all(ck == 0.0 for ck in system.c) else ["c=0"]
     try:
-        anchors = boundary_anchors(system)
+        f0, f1 = boundary_anchors(system)
     except Unbounded:
         return violated + ["bounded"]
-    if abs(anchors.f0) > tol:
+    if abs(f0) > tol:
         violated.append("f0=0")
-    if abs(anchors.f1 - 1.0) > tol:
+    if abs(f1 - 1.0) > tol:
         violated.append("f1=1")
     return violated
 
@@ -313,7 +284,7 @@ def variation_on_mesh(system: SimilaritySystem, m: int) -> float:
     """
     anchors = boundary_anchors(system)
     vR = _end_values(system, anchors, m, "right")[1]
-    vals = np.concatenate(([anchors.f0], vR))
+    vals = np.concatenate(([anchors[0]], vR))
     return float(np.abs(np.diff(vals)).sum())
 
 
@@ -366,8 +337,8 @@ def family_bound(R: float, eps: float, p) -> float:
     instead.
     """
     p = check_exponent(p)
-    if R < 0.0:
-        raise BadExponent(f"R must be nonnegative, got {R}")
+    if not 0.0 <= R < math.inf:
+        raise BadExponent(f"R must be finite and nonnegative, got {R}")
     if not 0.0 < eps < 1.0:
         raise BadExponent(f"eps must lie in (0,1), got {eps}")
     if R == 0.0:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, measure as measure_mod, presets, simop, solver
-from .errors import SelfSimError
+from .errors import BadOption, SelfSimError
 from .paramfile import read_system, write_system
 from .params import contraction_factor, validate
 
@@ -195,6 +195,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_render(args) -> int:
+    cap = simop.DEFAULT_SEGMENT_CAP
+    if not 0 <= args.points <= cap:
+        raise BadOption(f"--points must lie in [0, {cap}], got {args.points}")
     system = read_system(args.params)
     res = _solve(args, system)
     f = res.approximant

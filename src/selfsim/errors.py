@@ -41,10 +41,6 @@ class Unbounded(SelfSimError):
     """Some |d_k| >= 1: no bounded fixed point, anchors undefined."""
 
 
-class NonzeroC(SelfSimError):
-    """Operation requires c_k = 0 for all k."""
-
-
 class NotContractive(SelfSimError):
     """Contraction factor r_p >= 1 at the requested exponent."""
 

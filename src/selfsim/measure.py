@@ -11,9 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import check_tol, monotonicity_classify, normalization_violations
-from .errors import DepthTooLarge, NotApplicable
+from .errors import BadOption, DepthTooLarge, NotApplicable
 from .params import Branch, SimilaritySystem, branches
-from .simop import _fold, _image, _words, boundary_anchors, check_code, check_depth
+from .simop import (
+    DEFAULT_SEGMENT_CAP,
+    _fold,
+    _image,
+    _words,
+    boundary_anchors,
+    check_code,
+    check_depth,
+)
 
 ZERO_BRANCH_TOL = 1e-15
 DEFAULT_CODE_CAP = 10**6
@@ -109,11 +117,11 @@ def cdf_consistency(system: SimilaritySystem, measure: SelfSimilarMeasure, m: in
     measure was built from, at the codes mapped to its letters.
     """
     check_depth(measure.n, m, DEFAULT_CODE_CAP)
-    anchors = boundary_anchors(system)
+    f0, f1 = boundary_anchors(system)
     maps = branches(system)
     sub = [maps[k - 1] for k in measure.letters]
-    f_lo = _words(sub, m, 0.0, anchors.f0)[1]
-    f_hi = _words(sub, m, 1.0, anchors.f1)[1]
+    f_lo = _words(sub, m, 0.0, f0)[1]
+    f_hi = _words(sub, m, 1.0, f1)[1]
     mass = _words(measure.maps, m, 0.0, 1.0)[1]
     return float(np.abs(mass - (f_hi - f_lo)).max())
 
@@ -123,9 +131,12 @@ def sample(
 ) -> np.ndarray:
     """Left endpoints of depth-long codes drawn letter-by-letter with
     probabilities rho; deterministic for a fixed seed (NumPy PCG64).
+    count * depth letters are drawn at once, at most DEFAULT_SEGMENT_CAP.
     """
     if count < 1 or depth < 1:
-        raise DepthTooLarge("count and depth must be positive")
+        raise BadOption(f"count and depth must be positive, got {count} and {depth}")
+    if count * depth > DEFAULT_SEGMENT_CAP:
+        raise DepthTooLarge(f"count * depth = {count * depth} exceeds cap {DEFAULT_SEGMENT_CAP}")
     rng = np.random.default_rng(rng_seed)
     rho = np.asarray(measure.rho)
     rho = rho / rho.sum()

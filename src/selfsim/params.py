@@ -57,9 +57,6 @@ class Partition:
     def n(self) -> int:
         return len(self.alpha) - 1
 
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(self.alpha[k + 1] - self.alpha[k] for k in range(self.n))
-
 
 class Branch(NamedTuple):
     """Branch k's maps: t -> a t + lo (t = 1 -> exactly hi), v -> (c t + beta) + d v."""

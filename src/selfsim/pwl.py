@@ -57,10 +57,6 @@ class PiecewiseLinearFn:
     def identity(cls) -> "PiecewiseLinearFn":
         return cls([0.0, 1.0], [0.0, 1.0])
 
-    @classmethod
-    def zero(cls) -> "PiecewiseLinearFn":
-        return cls([0.0, 1.0], [0.0, 0.0])
-
     @property
     def n_pieces(self) -> int:
         return self.x.size - 1

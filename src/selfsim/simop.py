@@ -20,32 +20,15 @@ equals its mesh value bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndex, DepthTooLarge, NonFinite, NonzeroC, Unbounded
+from .errors import BadIndex, DepthTooLarge, NonFinite, Unbounded
 from .params import Branch, SimilaritySystem, branches, validate
 from .pwl import PiecewiseLinearFn
 
 DEFAULT_SEGMENT_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class Mesh:
-    """Sorted distinct endpoints of the n^m segments of T_m."""
-
-    depth: int
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
-class BoundaryAnchors:
-    """One-sided boundary values f0 = f(0+), f1 = f(1-) of the fixed point."""
-
-    f0: float
-    f1: float
 
 
 def _drift(branch: Branch, t: np.ndarray, out) -> np.ndarray:
@@ -132,8 +115,9 @@ def require_bounded(system: SimilaritySystem) -> None:
         raise Unbounded("some |d_k| >= 1: bounded fixed point does not exist")
 
 
-def boundary_anchors(system: SimilaritySystem) -> BoundaryAnchors:
-    """Anchors forced by the junction conditions when the one-sided limits exist."""
+def boundary_anchors(system: SimilaritySystem) -> tuple[float, float]:
+    """The one-sided boundary values (f0, f1) = (f(0+), f(1-)) of the fixed
+    point, forced by the junction conditions when those limits exist."""
     validate(system)
     d1, dn = system.d[0], system.d[-1]
     if abs(d1) >= 1.0 or abs(dn) >= 1.0:
@@ -142,7 +126,7 @@ def boundary_anchors(system: SimilaritySystem) -> BoundaryAnchors:
     f1 = (system.c[-1] + system.beta[-1]) / (1.0 - dn)
     if not (math.isfinite(f0) and math.isfinite(f1)):
         raise NonFinite(f"boundary anchors overflow: f0={f0}, f1={f1}")
-    return BoundaryAnchors(f0=f0, f1=f1)
+    return f0, f1
 
 
 def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn:
@@ -203,8 +187,9 @@ def apply_G(system: SimilaritySystem, f: PiecewiseLinearFn) -> PiecewiseLinearFn
     return PiecewiseLinearFn(xs, yl, yr, _trusted=True).merged()
 
 
-def build_mesh(system: SimilaritySystem, m: int) -> Mesh:
-    """Refinement mesh T_m: the endpoints of the n^m depth-m code segments.
+def build_mesh(system: SimilaritySystem, m: int) -> np.ndarray:
+    """Refinement mesh T_m: the sorted distinct endpoints of the n^m depth-m
+    code segments.
 
     The right end of word u k n^r is the left end of word u (k+1) 1^r, both
     S_u(alpha_{k+1}) by the same float operations, so one left-end pass plus
@@ -212,7 +197,7 @@ def build_mesh(system: SimilaritySystem, m: int) -> Mesh:
     """
     maps = branches(system)
     check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
-    return Mesh(depth=m, points=np.unique(np.append(_words(maps, m, 0.0)[0], 1.0)))
+    return np.unique(np.append(_words(maps, m, 0.0)[0], 1.0))
 
 
 def code_to_segment(system: SimilaritySystem, code: Sequence[int]) -> tuple[float, float]:
@@ -224,61 +209,37 @@ def code_to_segment(system: SimilaritySystem, code: Sequence[int]) -> tuple[floa
 
 def exact_value_at_code_point(
     system: SimilaritySystem,
-    anchors: BoundaryAnchors,
+    anchors: tuple[float, float],
     code: Sequence[int],
     end: str = "left",
 ) -> float:
     """One-sided fixed-point value at an endpoint of the coded segment.
 
     Left ends give the right limit f(x+0) anchored at f0; right ends give the
-    left limit f(x-0) anchored at f1.  Requires |d_k| < 1 for all k.
+    left limit f(x-0) anchored at f1, with anchors = (f0, f1) from
+    :func:`boundary_anchors`.  Requires |d_k| < 1 for all k.
     """
     maps = branches(system)
     word = check_code(code, len(maps))
     require_bounded(system)
     if end == "left":
-        return _fold(maps, word, 0.0, anchors.f0)[1]
+        return _fold(maps, word, 0.0, anchors[0])[1]
     if end == "right":
-        return _fold(maps, word, 1.0, anchors.f1)[1]
+        return _fold(maps, word, 1.0, anchors[1])[1]
     raise BadIndex(f"end must be 'left' or 'right', got {end!r}")
 
 
-def iterate_closed_form(system: SimilaritySystem, code: Sequence[int], x: float) -> float:
-    """Closed-form value of the m-th iterate (seed f_0(x) = x) on its segment.
-
-    Only valid for c_k = 0: on the coded segment the iterate is the affine
-    function with slope prod(d)/prod(a) through the exactly-known left
-    endpoint value sum_j beta_{k_j} prod_{i<j} d_{k_i}.
-    """
-    validate(system)
-    word = check_code(code, system.n)
-    if any(ck != 0.0 for ck in system.c):
-        raise NonzeroC("closed-form iterate requires c_k = 0 for all k")
-    lo, hi = code_to_segment(system, word)
-    if not (lo - 1e-12 <= x <= hi + 1e-12):
-        raise BadIndex(f"x={x} outside coded segment [{lo}, {hi}]")
-    slope_den = 1.0
-    intercept = 0.0
-    dprod = 1.0  # product of d over letters outward of the current one
-    for k in word:
-        i = k - 1
-        intercept += system.beta[i] * dprod
-        dprod *= system.d[i]
-        slope_den *= system.a[i]
-    return (dprod / slope_den) * (x - lo) + intercept
-
-
-def _end_values(system: SimilaritySystem, anchors: BoundaryAnchors, m: int, end: str):
+def _end_values(system: SimilaritySystem, anchors: tuple[float, float], m: int, end: str):
     """(x, v) at the left ends (from 0, f0) or right ends (from 1, f1) of all depth-m segments."""
     maps = branches(system)
     check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
     require_bounded(system)
-    t, v = (0.0, anchors.f0) if end == "left" else (1.0, anchors.f1)
+    t, v = (0.0, anchors[0]) if end == "left" else (1.0, anchors[1])
     return _words(maps, m, t, v)
 
 
 def mesh_code_values(
-    system: SimilaritySystem, anchors: BoundaryAnchors, m: int
+    system: SimilaritySystem, anchors: tuple[float, float], m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact one-sided fixed-point values over all depth-m segments.
 

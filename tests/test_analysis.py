@@ -11,9 +11,6 @@ from selfsim import (
     lp_norm,
     monotonicity_classify,
     norm_bound,
-    norm_bound_fractional,
-    norm_bound_infinity,
-    norm_bound_integer,
     solve,
     stability_bound,
     variation_criterion,
@@ -47,18 +44,18 @@ CANTOR = cantor_family(1.0 / 3.0, 0.0)
 # norm bounds
 # ----------------------------------------------------------------------
 def test_integer_bound_cantor_p1():
-    nb = norm_bound_integer(CANTOR, 1)
+    nb = norm_bound(CANTOR, 1)
     assert nb.bound == pytest.approx(0.5, rel=1e-14)
 
 
 def test_integer_bound_zero_data():
     s = SimilaritySystem(a=(0.5, 0.5), c=(0, 0), d=(0.3, -0.2), beta=(0, 0))
     for p in (1, 2, 3):
-        assert norm_bound_integer(s, p).bound == 0.0
+        assert norm_bound(s, p).bound == 0.0
 
 
 def test_integer_bound_identity_p1():
-    nb = norm_bound_integer(identity2(), 1)
+    nb = norm_bound(identity2(), 1)
     assert nb.bound == pytest.approx(0.75, rel=1e-14)
     assert nb.bound >= 0.5  # true L_1 norm of x
 
@@ -66,39 +63,34 @@ def test_integer_bound_identity_p1():
 def test_integer_bound_not_contractive():
     s = SimilaritySystem(a=(0.5, 0.5), c=(0, 0), d=(1.5, 0.1), beta=(1, 1))
     with pytest.raises(NotContractiveAtSomeS):
-        norm_bound_integer(s, 2)
+        norm_bound(s, 2)
 
 
 def test_fractional_bound_zero_data():
     s = SimilaritySystem(a=(0.5, 0.5), c=(0, 0), d=(0.3, -0.2), beta=(0, 0))
-    assert norm_bound_fractional(s, 1.5).bound == 0.0
-
-
-def test_fractional_bound_rejects_integer():
-    with pytest.raises(BadExponent):
-        norm_bound_fractional(CANTOR, 2.0)
+    assert norm_bound(s, 1.5).bound == 0.0
 
 
 def test_fractional_bound_dominates_measured():
     for system, p in ((CANTOR, 1.5), (identity2(), 2.5)):
-        nb = norm_bound_fractional(system, p)
+        nb = norm_bound(system, p)
         res = solve(system, p, 1e-6)
         assert lp_norm(res.approximant, p) <= nb.bound + res.aposteriori_error
 
 
 def test_fractional_bound_identity_value():
-    nb = norm_bound_fractional(identity2(), 2.5)
+    nb = norm_bound(identity2(), 2.5)
     assert nb.bound >= (1 / 3.5) ** (1 / 2.5)
 
 
 def test_infinity_bound_cantor():
-    nb = norm_bound_infinity(CANTOR)
+    nb = norm_bound(CANTOR, math.inf)
     assert nb.bound == pytest.approx(1.0, rel=1e-14)
 
 
 def test_infinity_bound_step():
     s = characteristic(0.25, 0.75)
-    assert norm_bound_infinity(s).bound == 1.0
+    assert norm_bound(s, math.inf).bound == 1.0
 
 
 def test_bound_validity_random(rng):
@@ -305,7 +297,7 @@ def test_variation_on_mesh_sums_right_end_values(rng):
         anc = boundary_anchors(system)
         for m in (1, 3, 5):
             vR = mesh_code_values(system, anc, m)[3]
-            expected = float(np.abs(np.diff(np.concatenate(([anc.f0], vR)))).sum())
+            expected = float(np.abs(np.diff(np.concatenate(([anc[0]], vR)))).sum())
             assert variation_on_mesh(system, m) == expected
 
 
@@ -406,10 +398,13 @@ def test_family_bound_dominates_member_bounds(rng):
             system = random_system(rng, d_max=0.5)
             if weighted_pair_norm(system.c, system.beta, p, system.a) > R:
                 continue
-            assert norm_bound_integer(system, p).bound <= fb + 1e-12
+            assert norm_bound(system, p).bound <= fb + 1e-12
 
 
 def test_family_bound_bad_args():
+    for R in (-1.0, math.nan, math.inf):
+        with pytest.raises(BadExponent):
+            family_bound(R, 0.5, 2)
     with pytest.raises(BadExponent):
         family_bound(1.0, 1.5, 1)
     with pytest.raises(BadExponent):

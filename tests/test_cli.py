@@ -235,6 +235,27 @@ def test_render(capsys, cantor_file, tmp_path):
     assert len(lines) >= 66
 
 
+@pytest.mark.parametrize("points", ["-1", "10000001"])
+def test_render_bad_points_exit_2(capsys, cantor_file, tmp_path, points):
+    # both bounds are checked before the parameter file is read
+    code, out, err = run(capsys, "render", cantor_file, "--points", points)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--points" in err
+    code, _, err = run(capsys, "render", str(tmp_path / "nope.json"), "--points", points)
+    assert code == 2 and "--points" in err
+
+
+def test_render_zero_points(capsys, cantor_file, tmp_path):
+    # no extra grid: the approximant's breakpoints alone
+    out_path = tmp_path / "render.csv"
+    code, _, _ = run(
+        capsys, "render", cantor_file, "--points", "0", "--target-error",
+        "1e-3", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_text().splitlines()[0] == "x,left,right"
+
+
 def test_preset_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "b.json"
     code, _, _ = run(capsys, "preset", "bernoulli", "0.25", "--out", str(out_path))

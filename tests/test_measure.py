@@ -144,6 +144,25 @@ def test_sample_deterministic():
     assert ((a >= 0) & (a <= 1)).all()
 
 
+@pytest.mark.parametrize("count, depth", [(0, 10), (10, 0), (-1, 5), (5, -1)])
+def test_sample_rejects_nonpositive_sizes(count, depth):
+    with pytest.raises(BadOption):
+        sample(measure_from_function(BERN), count, depth, rng_seed=0)
+
+
+def test_sample_cap(monkeypatch):
+    # count * depth letters are drawn at once: refused above the cap before
+    # any is drawn (10^12 letters would not fit in memory)
+    mu = measure_from_function(BERN)
+    with pytest.raises(DepthTooLarge):
+        sample(mu, 10**9, 10**3, rng_seed=0)
+    monkeypatch.setattr("selfsim.measure.DEFAULT_SEGMENT_CAP", 100)
+    assert sample(mu, 10, 10, rng_seed=0).shape == (10,)
+    for count, depth in ((101, 1), (10, 11)):
+        with pytest.raises(DepthTooLarge):
+            sample(mu, count, depth, rng_seed=0)
+
+
 def test_sample_uniform_kolmogorov():
     mu = measure_from_function(uniform_system())
     xs = np.sort(sample(mu, 10_000, 20, rng_seed=3))

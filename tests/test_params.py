@@ -194,4 +194,4 @@ def test_partition_roundtrip(seed):
     rng = np.random.default_rng(seed)
     system = random_system(rng)
     part = validate(system)
-    assert np.allclose(part.lengths(), system.a, rtol=0, atol=1e-15)
+    assert np.allclose(np.diff(part.alpha), system.a, rtol=0, atol=1e-15)

@@ -62,26 +62,26 @@ def test_cantor_family_defaults():
     assert s.a == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
     assert s.d == (0.5, 0.0, 0.5)
     assert s.beta == (0.0, 0.5, 0.5)
-    anc = boundary_anchors(s)
-    assert anc.f0 == 0.0 and anc.f1 == 1.0
+    f0, f1 = boundary_anchors(s)
+    assert f0 == 0.0 and f1 == 1.0
 
 
 def test_cantor_family_perturbed_normalized():
     s = cantor_family(0.3, 0.1)
     assert math.fsum(s.d) == pytest.approx(1.0, abs=1e-15)
-    anc = boundary_anchors(s)
-    assert anc.f0 == pytest.approx(0.0, abs=1e-15)
-    assert anc.f1 == pytest.approx(1.0, abs=1e-15)
+    f0, f1 = boundary_anchors(s)
+    assert f0 == pytest.approx(0.0, abs=1e-15)
+    assert f1 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_counterexample_anchors():
-    anc = boundary_anchors(counterexample(0.4))
-    assert anc.f0 == 0.0 and anc.f1 == 1.0
+    f0, f1 = boundary_anchors(counterexample(0.4))
+    assert f0 == 0.0 and f1 == 1.0
 
 
 def test_bernoulli_anchors():
-    anc = boundary_anchors(bernoulli(0.25))
-    assert anc.f0 == 0.0 and anc.f1 == 1.0
+    f0, f1 = boundary_anchors(bernoulli(0.25))
+    assert f0 == 0.0 and f1 == 1.0
 
 
 def test_bad_params():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from selfsim import (
     build_mesh,
     code_to_segment,
     exact_value_at_code_point,
-    iterate_closed_form,
     lp_norm,
     mesh_code_values,
     pwl,
     validate,
 )
-from selfsim.errors import BadIndex, DepthTooLarge, NonzeroC, Unbounded
+from selfsim.errors import BadIndex, DepthTooLarge, Unbounded
 from selfsim.params import branches
 from selfsim.simop import _image
 from selfsim.presets import bernoulli, cantor_family, counterexample, identity2
@@ -129,9 +129,9 @@ def test_apply_G_collapses_breakpoints_that_round_together():
 
 
 def _iterate(system, m):
-    """G^(m-1) applied to the identity: the input of the depth-m step."""
+    """The iterate f_m = G^m(id)."""
     f = PiecewiseLinearFn.identity()
-    for _ in range(m - 1):
+    for _ in range(m):
         f = apply_G(system, f)
     return f
 
@@ -174,7 +174,7 @@ def _traced_peak(call):
 def test_solve_kernels_allocate_little_beyond_their_output(system, depth, pieces):
     # apply_G writes into its outputs, and merged and the L_p integrator work
     # in blocks: no full-size temporary is made beside the result
-    f = _iterate(system, depth)
+    f = _iterate(system, depth - 1)
     g, apply_peak = _traced_peak(lambda: apply_G(system, f))
     assert g.n_pieces == pieces
     assert apply_peak <= 1.25 * (g.x.nbytes + g.yl.nbytes + g.yr.nbytes)
@@ -186,19 +186,19 @@ def test_solve_kernels_allocate_little_beyond_their_output(system, depth, pieces
 # meshes and codes
 # ----------------------------------------------------------------------
 def test_mesh_depth1_is_partition():
-    m = build_mesh(CANTOR, 1)
-    assert np.array_equal(m.points, np.asarray(validate(CANTOR).alpha))
+    pts = build_mesh(CANTOR, 1)
+    assert np.array_equal(pts, np.asarray(validate(CANTOR).alpha))
 
 
 def test_mesh_depth2_cantor():
-    pts = build_mesh(CANTOR, 2).points
+    pts = build_mesh(CANTOR, 2)
     assert pts.size == 10
     assert np.isclose(pts, 1 / 9).any() and np.isclose(pts, 2 / 9).any()
 
 
 def test_mesh_dyadic():
     s = identity2()
-    pts = build_mesh(s, 3).points
+    pts = build_mesh(s, 3)
     assert np.array_equal(pts, np.arange(9) / 8.0)
 
 
@@ -233,7 +233,7 @@ def test_codes_reproduce_mesh_exactly(rng):
     for _ in range(5):
         system = random_system(rng, n=3)
         m = 3
-        mesh = set(build_mesh(system, m).points.tolist())
+        mesh = set(build_mesh(system, m).tolist())
         endpoints = set()
         for w in itertools.product((1, 2, 3), repeat=m):
             lo, hi = code_to_segment(system, w)
@@ -246,8 +246,7 @@ def test_codes_reproduce_mesh_exactly(rng):
 # exact values
 # ----------------------------------------------------------------------
 def test_anchors_cantor():
-    anc = boundary_anchors(CANTOR)
-    assert anc.f0 == 0.0 and anc.f1 == 1.0
+    assert boundary_anchors(CANTOR) == (0.0, 1.0)
 
 
 def test_anchors_unbounded():
@@ -287,31 +286,36 @@ def test_exact_value_self_similarity(rng):
                 assert v == pytest.approx(expected, abs=1e-12)
 
 
-def test_iterate_closed_form_examples():
-    assert iterate_closed_form(CANTOR, (1,), 0.0) == 0.0
-    assert iterate_closed_form(CANTOR, (1, 1), 1 / 9) == pytest.approx(0.25, abs=1e-15)
-    assert iterate_closed_form(CANTOR, (2,), 0.5) == 0.5
+def _fraction_fold(system, word, t, v):
+    """The word's maps applied to (t, v) in exact rationals, last letter first."""
+    for k in reversed(word):
+        a, lo, _, c, d, beta = map(Fraction, branches(system)[k - 1])
+        t, v = a * t + lo, (c * t + beta) + d * v
+    return t, v
 
 
-def test_iterate_closed_form_rejects_c():
-    with pytest.raises(NonzeroC):
-        iterate_closed_form(identity2(), (1,), 0.1)
+def test_iterate_examples():
+    f1, f2 = _iterate(CANTOR, 1), _iterate(CANTOR, 2)
+    assert f1.value_right([0.0])[0] == 0.0
+    assert f2.value_left([1 / 9])[0] == pytest.approx(0.25, abs=1e-15)
+    assert f1.value_right([0.5])[0] == 0.5
 
 
-def test_closed_form_matches_iteration(rng):
-    # oracle equivalence for c = 0 systems
-    for _ in range(3):
-        system = random_system(rng, n=3, c_zero=True)
-        m = 4
-        f = PiecewiseLinearFn.identity()
-        for _ in range(m):
-            f = apply_G(system, f)
-        for w in itertools.product((1, 2, 3), repeat=m):
+def test_iterates_match_fraction_fold(rng):
+    # f_m = G^m(id) is the word's maps applied to (t, t) on S_w([0, 1]), for
+    # any c: the exact fold from (0, 0) gives its right limit at the
+    # segment's left end, the fold from (1, 1) its left limit at the right end
+    assert _fraction_fold(CANTOR, (1, 1), 1, 1)[1] == Fraction(1, 4)  # f_2(1/9-)
+    cases = [(CANTOR, 2), (CANTOR, 4)]
+    cases += [(random_system(rng, n=3, c_zero=c_zero), 4) for c_zero in (True, True, False, False)]
+    for system, m in cases:
+        f = _iterate(system, m)
+        for w in itertools.product(range(1, system.n + 1), repeat=m):
             lo, hi = code_to_segment(system, w)
-            x = 0.5 * (lo + hi)
-            assert iterate_closed_form(system, w, x) == pytest.approx(
-                float(f.value_right([x])[0]), abs=1e-10
-            )
+            left = float(_fraction_fold(system, w, 0, 0)[1])
+            right = float(_fraction_fold(system, w, 1, 1)[1])
+            assert f.value_right([lo])[0] == pytest.approx(left, abs=1e-14)
+            assert f.value_left([hi])[0] == pytest.approx(right, abs=1e-14)
 
 
 def test_iterates_agree_with_fixed_point_on_mesh():
@@ -319,9 +323,7 @@ def test_iterates_agree_with_fixed_point_on_mesh():
     system = cantor_family(0.3, 0.05)
     anc = boundary_anchors(system)
     m = 5
-    f = PiecewiseLinearFn.identity()
-    for _ in range(m):
-        f = apply_G(system, f)
+    f = _iterate(system, m)
     xL, vL, xR, vR = mesh_code_values(system, anc, m)
     assert np.allclose(f.value_right(xL), vL, atol=m * 1e-12)
     assert np.allclose(f.value_left(xR), vR, atol=m * 1e-12)

@@ -28,7 +28,7 @@ from conftest import random_system
 
 CANTOR = cantor_family(1.0 / 3.0, 0.0)
 IDENTITY = PiecewiseLinearFn.identity()
-ZERO = PiecewiseLinearFn.zero()
+ZERO = PiecewiseLinearFn([0.0, 1.0], [0.0, 0.0])
 
 
 # ----------------------------------------------------------------------
