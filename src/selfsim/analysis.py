@@ -28,12 +28,22 @@ from .params import (
     validate,
     weighted_pair_norm,
 )
-from .simop import _end_values, _words, boundary_anchors, require_bounded
+from .pwl import _BLOCK
+from .simop import (
+    DEFAULT_SEGMENT_CAP,
+    _levels,
+    _words,
+    boundary_anchors,
+    check_depth,
+    require_bounded,
+)
 
 DEFAULT_TOL = 1e-9
 # monotonicity fallback scan: deepest mesh, and the most segments per depth
 FALLBACK_DEPTH = 8
 FALLBACK_CAP = 10**6
+# norm_bound computes [p] pair norms and contraction factors: the largest [p]
+BOUND_EXPONENT_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,8 @@ def norm_bound(system: SimilaritySystem, p) -> NormBound:
     """
     p = check_exponent(p)
     ip = 0 if math.isinf(p) else int(p)  # [p]
+    if ip > BOUND_EXPONENT_CAP:
+        raise BadOption(f"[p] = {ip} exceeds cap {BOUND_EXPONENT_CAP}")
     norms, rs = _intermediate_factors(system, ip)
     if p == ip:
         bound = math.fsum(norms) / math.prod(1.0 - r for r in rs) ** (1.0 / p)
@@ -214,27 +226,22 @@ def monotonicity_classify(system: SimilaritySystem, tol: float = DEFAULT_TOL) ->
     if sufficient:
         return RegularityVerdict("monotonicity", "holds")
 
-    # numerical fallback: exact one-sided values on refinement meshes, one step per depth
-    maps = branches(system)
-    xL, vL, xR, vR = 0.0, f0, 1.0, f1
-    for m in range(1, FALLBACK_DEPTH + 1):
-        if system.n**m > FALLBACK_CAP:
-            break
-        xL, vL = _words(maps, 1, xL, vL)
-        xR, vR = _words(maps, 1, xR, vR)
-        pts = np.empty(2 * xL.size)
-        vals = np.empty_like(pts)
-        pts[0::2], pts[1::2] = xL, xR
+    # numerical fallback: exact one-sided values on refinement meshes, one level per depth
+    depth = sum(system.n**m <= FALLBACK_CAP for m in range(1, FALLBACK_DEPTH + 1))
+    levels = _levels(branches(system), depth, 0.0, [f0], [f1], points=True)
+    for m, (buf, vL, vR) in enumerate(levels, start=1):
+        vals = np.empty(2 * vL.size)
         vals[0::2], vals[1::2] = vL, vR
         drops = np.nonzero(np.diff(vals) < -tol)[0]
         if drops.size:
             i = int(drops[0])
+            # vals[i] and vals[i + 1] sit at buf[(i + 1) // 2] and buf[i // 2 + 1]
             witnesses = (
                 _witness(
                     "mesh_decrease",
                     index=m,
                     residual=float(vals[i + 1] - vals[i]),
-                    point=(float(pts[i]), float(pts[i + 1])),
+                    point=(float(buf[(i + 1) // 2]), float(buf[i // 2 + 1])),
                 ),
             )
             return RegularityVerdict("monotonicity", "fails", witnesses)
@@ -280,12 +287,21 @@ def variation_on_mesh(system: SimilaritySystem, m: int) -> float:
     """Variation of the fixed point over the mesh T_m.
 
     Uses the left-continuity convention: the value at each interior mesh
-    point is the exact left limit there, the value at 0 is f0.
+    point is the exact left limit there, the value at 0 is f0.  The
+    differences are taken in place over blocks of _BLOCK values, last block
+    first, so the sum runs over the same n^m values as
+    |diff([f0, *vR])|.sum() and equals it bitwise.
     """
-    anchors = boundary_anchors(system)
-    vR = _end_values(system, anchors, m, "right")[1]
-    vals = np.concatenate(([anchors[0]], vR))
-    return float(np.abs(np.diff(vals)).sum())
+    f0, f1 = boundary_anchors(system)
+    maps = branches(system)
+    check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
+    require_bounded(system)
+    v = _words(maps, m, right=[f1])[2]
+    for lo in reversed(range(1, v.size, _BLOCK)):
+        hi = min(lo + _BLOCK, v.size)
+        v[lo:hi] -= v[lo - 1 : hi - 1]
+    v[0] -= f0
+    return float(np.abs(v, out=v).sum())
 
 
 # ----------------------------------------------------------------------

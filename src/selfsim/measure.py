@@ -104,10 +104,10 @@ def coded_interval(measure: SelfSimilarMeasure, code) -> tuple[float, float]:
 
 def coded_intervals(measure: SelfSimilarMeasure, depth: int):
     """(left, right, mass) arrays over all depth-long codes, in lexicographic
-    order; each entry equals coded_interval / coded_interval_mass bitwise."""
+    order; each entry equals coded_interval / coded_interval_mass bitwise.
+    left and right are read-only."""
     check_depth(measure.n, depth, DEFAULT_CODE_CAP)
-    left, mass = _words(measure.maps, depth, 0.0, 1.0)
-    return left, _words(measure.maps, depth, 1.0)[0], mass
+    return _words(measure.maps, depth, [1.0], points=True)
 
 
 def cdf_consistency(system: SimilaritySystem, measure: SelfSimilarMeasure, m: int) -> float:
@@ -120,9 +120,8 @@ def cdf_consistency(system: SimilaritySystem, measure: SelfSimilarMeasure, m: in
     f0, f1 = boundary_anchors(system)
     maps = branches(system)
     sub = [maps[k - 1] for k in measure.letters]
-    f_lo = _words(sub, m, 0.0, f0)[1]
-    f_hi = _words(sub, m, 1.0, f1)[1]
-    mass = _words(measure.maps, m, 0.0, 1.0)[1]
+    f_lo, f_hi = _words(sub, m, [f0], [f1])[2:]
+    mass = _words(measure.maps, m, [1.0])[2]
     return float(np.abs(mass - (f_hi - f_lo)).max())
 
 

@@ -10,11 +10,18 @@ f(S_k(t)) = c_k t + d_k f(t) + beta_k at each step.
 
 Every recursion in the library (G, meshes, code points, the measure) is the
 step (t, v) <- (a_k t + alpha_k, (c_k t + beta_k) + d_k v), with the image
-of t = 1 exactly alpha_{k+1}.  It is written twice, vectorized in
-:func:`_image` (from its halves :func:`_drift`, :func:`_values` and
-:func:`_points`, which apply_G calls directly) and as the scalar fold
-:func:`_fold` over one word; both round in this order, so a code-point value
-equals its mesh value bitwise.
+of t = 1 exactly alpha_{k+1}.  It is written twice, vectorized in its halves
+:func:`_drift`, :func:`_values` and :func:`_points` (which :func:`_image`
+joins, and apply_G and the code-point kernel :func:`_levels` call directly)
+and as the scalar fold :func:`_fold` over one word; both round in this
+order, so a code-point value equals its mesh value bitwise.
+
+Every code-point scan runs one point recursion, from t = 0.  Where the maps
+tile [0, 1] (alpha_1 = 0, each hi_k = lo_{k+1}, hi_n = 1), the right end of
+word i is the left end of word i + 1 by the same float operations, and the
+right end of the last word is 1; so values anchored at t = 1 read the drift
+c_k t + beta_k one point on, and the right ends are the left ends shifted by
+one with 1.0 appended.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndex, DepthTooLarge, NonFinite, Unbounded
+from .errors import BadIndex, BadOption, DepthTooLarge, NonFinite, Unbounded
 from .params import Branch, SimilaritySystem, branches, validate
 from .pwl import PiecewiseLinearFn
 
@@ -74,24 +81,59 @@ def _fold(maps: Sequence[Branch], word: Sequence[int], t: float, v: float) -> tu
     return t, v
 
 
-def _words(maps: Sequence[Branch], m: int, t, v=None):
-    """Images of the points t (values v) under every word of length m.
+def _levels(maps: Sequence[Branch], m: int, t0: float, left=(), right=(), points=False):
+    """The code recursion from the point t0, one level per step for m steps.
 
-    Blocks are in lexicographic (= left-to-right) word order; the last
-    letter acts first.  v=None skips the values.
+    Each level yields (buf, *values) over all words of that length, in
+    lexicographic (= left-to-right) order, the last letter acting first:
+    buf is the images of t0 and then 1.0 (None at the last level unless
+    points), values the images of (t0, v) for each v in left, then of (1, v)
+    for each v in right, read one point on (t0 = 0 and tiling maps only).
+    Each level overwrites the arrays of the one before.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    v = None if v is None else np.atleast_1d(np.asarray(v, dtype=float))
-    for _ in range(m):
-        size = t.size
-        t_new = np.empty(len(maps) * size)
-        v_new = None if v is None else np.empty_like(t_new)
-        # prepend each letter k as the new outermost map
-        for k, branch in enumerate(maps):
-            blk = slice(k * size, (k + 1) * size)
-            _image(branch, t, v, t_new[blk], None if v is None else v_new[blk])
-        t, v = t_new, v_new
-    return t, v
+    n, N = len(maps), len(maps) ** m
+    # arrays of the final size, each level written over the last; block 0,
+    # which overwrites the input, runs last
+    buf = np.empty((N if points else N // n) + 1)
+    buf[:2] = t0, 1.0
+    vals = np.empty((len(left) + len(right), N))
+    vals[:, 0] = (*left, *right)
+    reads = [slice(0, -1)] * len(left) + [slice(1, None)] * len(right)
+    drift = np.empty(N // n + 1)
+    size = 1
+    for level in range(1, m + 1):
+        t, dr = buf[: size + 1], drift[: size + 1]
+        ones = np.flatnonzero(t[:-1] == 1.0)
+        for k in reversed(range(n)):
+            _drift(maps[k], t, dr)
+            for v, read in zip(vals, reads):
+                _values(maps[k], dr[read], v[:size], v[k * size : (k + 1) * size])
+        step = points or level < m
+        if step:
+            for k in reversed(range(n)):
+                blk = buf[k * size : (k + 1) * size]
+                _points(maps[k], t[:-1], blk)
+                blk[ones] = maps[k].hi
+            buf[n * size] = 1.0
+        size *= n
+        yield (buf[: size + 1] if step else None, *(v[:size] for v in vals))
+
+
+def _words(maps: Sequence[Branch], m: int, left=(), right=(), points=False):
+    """(xL, xR, *values): every word of length m applied to (0, v) for each
+    v in left, then to (1, v) for each v in right.  xL and xR (None unless
+    points) are read-only, views of one buffer when the maps tile [0, 1];
+    with gaps between the images, the right ends get their own recursion."""
+    tiles = [0.0, *(br.hi for br in maps)] == [*(br.lo for br in maps), 1.0]
+    *_, (buf, *vals) = _levels(maps, m, 0.0, left, right if tiles else (), points)
+    ends = buf
+    if not tiles and (right or points):
+        *_, (ends, *right_vals) = _levels(maps, m, 1.0, right, (), points)
+        vals += right_vals
+    if points:
+        buf.flags.writeable = ends.flags.writeable = False
+        buf, ends = buf[:-1], ends[1:] if tiles else ends[:-1]
+    return (buf, ends, *vals)
 
 
 def check_code(code: Sequence[int], n: int) -> tuple[int, ...]:
@@ -105,7 +147,7 @@ def check_code(code: Sequence[int], n: int) -> tuple[int, ...]:
 def check_depth(n: int, m: int, cap: int) -> None:
     """Reject depths below 1 and n^m above the cap, before allocating."""
     if m < 1:
-        raise DepthTooLarge(f"depth must be >= 1, got {m}")
+        raise BadOption(f"depth must be >= 1, got {m}")
     if n**m > cap:
         raise DepthTooLarge(f"n^m = {n}^{m} exceeds cap {cap}")
 
@@ -197,7 +239,7 @@ def build_mesh(system: SimilaritySystem, m: int) -> np.ndarray:
     """
     maps = branches(system)
     check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
-    return np.unique(np.append(_words(maps, m, 0.0)[0], 1.0))
+    return np.unique(np.append(_words(maps, m, points=True)[0], 1.0))
 
 
 def code_to_segment(system: SimilaritySystem, code: Sequence[int]) -> tuple[float, float]:
@@ -229,15 +271,6 @@ def exact_value_at_code_point(
     raise BadIndex(f"end must be 'left' or 'right', got {end!r}")
 
 
-def _end_values(system: SimilaritySystem, anchors: tuple[float, float], m: int, end: str):
-    """(x, v) at the left ends (from 0, f0) or right ends (from 1, f1) of all depth-m segments."""
-    maps = branches(system)
-    check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
-    require_bounded(system)
-    t, v = (0.0, anchors[0]) if end == "left" else (1.0, anchors[1])
-    return _words(maps, m, t, v)
-
-
 def mesh_code_values(
     system: SimilaritySystem, anchors: tuple[float, float], m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -246,6 +279,11 @@ def mesh_code_values(
     Returns (xL, vL, xR, vR) in left-to-right segment order: vL is the right
     limit at each segment's left end, vR the left limit at its right end.
     Each equals :func:`code_to_segment` / :func:`exact_value_at_code_point`
-    of its code bitwise.
+    of its code bitwise.  xL and xR are read-only views of one buffer of
+    n^m + 1 points (xR = xL shifted by one, then 1.0).
     """
-    return (*_end_values(system, anchors, m, "left"), *_end_values(system, anchors, m, "right"))
+    maps = branches(system)
+    check_depth(len(maps), m, DEFAULT_SEGMENT_CAP)
+    require_bounded(system)
+    xL, xR, vL, vR = _words(maps, m, [anchors[0]], [anchors[1]], points=True)
+    return xL, vL, xR, vR

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_fractional_bound_dominates_measured():
 def test_fractional_bound_identity_value():
     nb = norm_bound(identity2(), 2.5)
     assert nb.bound >= (1 / 3.5) ** (1 / 2.5)
+
+
+def test_bound_refuses_exponent_above_cap_at_once():
+    # [p] pair norms would take hours at p = 1e9; the cap refuses before computing one
+    start = time.perf_counter()
+    for p in (1e9, 1e9 + 0.5, analysis.BOUND_EXPONENT_CAP + 1):
+        with pytest.raises(BadOption):
+            norm_bound(CANTOR, p)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_infinity_bound_cantor():
@@ -291,11 +301,13 @@ def test_variation_identity_function():
 
 
 def test_variation_on_mesh_sums_right_end_values(rng):
-    # one right-end pass gives mesh_code_values' vR bitwise
-    for _ in range(20):
-        system = random_system(rng)
+    # one right-end pass gives mesh_code_values' vR bitwise; the deep cases
+    # difference in place over several blocks
+    cases = [(random_system(rng), (1, 3, 5)) for _ in range(20)]
+    cases += [(random_system(rng, n=2), (15,)), (random_system(rng, n=3), (10,))]
+    for system, depths in cases:
         anc = boundary_anchors(system)
-        for m in (1, 3, 5):
+        for m in depths:
             vR = mesh_code_values(system, anc, m)[3]
             expected = float(np.abs(np.diff(np.concatenate(([anc[0]], vR)))).sum())
             assert variation_on_mesh(system, m) == expected

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,21 @@ def test_norms(capsys, cantor_file):
     doc = json.loads(out)
     assert doc["measured_norm"] <= doc["bound"] + 1e-12
     assert doc["bound"] == pytest.approx(0.5)
+
+
+def test_norms_huge_exponent_exit_2_at_once(capsys, cantor_file):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "norms", cantor_file, "--p", "1e9")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: [p] = 1000000000 exceeds cap") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["variation"], ["measure", "--collapse"]])
+def test_depth_below_one_exit_2(capsys, cantor_file, argv):
+    code, out, err = run(capsys, argv[0], cantor_file, *argv[1:], "--depth", "0")
+    assert code == 2 and out == ""
+    assert err == "error: depth must be >= 1, got 0\n"
 
 
 def test_check_strict_exit(capsys, cantor_file, counter_file):

@@ -12,6 +12,7 @@ from selfsim import (
     coded_interval_mass,
     coded_intervals,
     code_to_segment,
+    exact_value_at_code_point,
     measure_from_function,
     mesh_code_values,
     sample,
@@ -72,7 +73,7 @@ def test_coded_intervals_cap():
     mu = measure_from_function(BERN)
     with pytest.raises(DepthTooLarge):
         coded_intervals(mu, 40)
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(BadOption):
         coded_intervals(mu, 0)
 
 
@@ -127,6 +128,25 @@ def test_depth1_masses_match_cdf_increments():
     _, vL, _, vR = mesh_code_values(BERN, anc, 1)
     for k in range(mu.n):
         assert mu.rho[k] == pytest.approx(vR[k] - vL[k], abs=1e-14)
+
+
+# a zero-weight middle branch whose values round: residuals are not all 0
+GAPPED = SimilaritySystem(a=(0.3, 0.3, 0.4), c=(0, 0, 0), d=(0.3, 0, 0.7), beta=(0, 0.3, 0.3))
+
+
+@pytest.mark.parametrize("system", [CANTOR, GAPPED])
+def test_cdf_consistency_collapsed_matches_scalar_folds(system):
+    # the collapsed maps leave a gap, so the right ends take their own pass from t = 1
+    mu = measure_from_function(system, collapse_zero_branches=True)
+    anc = boundary_anchors(system)
+    for m in (1, 2, 3, 4):
+        worst = 0.0
+        for w in itertools.product(range(1, mu.n + 1), repeat=m):
+            code = [mu.letters[k - 1] for k in w]
+            f_lo = exact_value_at_code_point(system, anc, code, "left")
+            f_hi = exact_value_at_code_point(system, anc, code, "right")
+            worst = max(worst, abs(coded_interval_mass(mu, w) - (f_hi - f_lo)))
+        assert cdf_consistency(system, mu, m) == worst
 
 
 def test_cdf_consistency_examples():

@@ -12,14 +12,18 @@ from selfsim import (
     apply_G,
     boundary_anchors,
     build_mesh,
+    cdf_consistency,
     code_to_segment,
+    coded_intervals,
     exact_value_at_code_point,
     lp_norm,
+    measure_from_function,
     mesh_code_values,
     pwl,
     validate,
+    variation_on_mesh,
 )
-from selfsim.errors import BadIndex, DepthTooLarge, Unbounded
+from selfsim.errors import BadIndex, BadOption, DepthTooLarge, Unbounded
 from selfsim.params import branches
 from selfsim.simop import _image
 from selfsim.presets import bernoulli, cantor_family, counterexample, identity2
@@ -207,6 +211,32 @@ def test_mesh_cap():
         build_mesh(CANTOR, 20)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_depth_below_one_is_bad_option(m):
+    anc = boundary_anchors(CANTOR)
+    mu = measure_from_function(CANTOR, collapse_zero_branches=True)
+    calls = (
+        lambda: build_mesh(CANTOR, m),
+        lambda: mesh_code_values(CANTOR, anc, m),
+        lambda: variation_on_mesh(CANTOR, m),
+        lambda: coded_intervals(mu, m),
+        lambda: cdf_consistency(CANTOR, mu, m),
+    )
+    for call in calls:
+        with pytest.raises(BadOption):
+            call()
+
+
+def test_mesh_points_are_read_only_views_of_one_buffer():
+    xL, _, xR, _ = mesh_code_values(CANTOR, boundary_anchors(CANTOR), 3)
+    assert np.shares_memory(xL, xR)
+    assert np.array_equal(xL[1:], xR[:-1]) and xR[-1] == 1.0
+    for x in (xL, xR):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.5
+
+
 def test_code_to_segment_examples():
     assert code_to_segment(CANTOR, (1,)) == (0.0, 1 / 3)
     lo, hi = code_to_segment(CANTOR, (1, 3))
@@ -333,14 +363,26 @@ def test_mesh_code_values_match_scalar_recursion(rng):
     # the vectorized step and the scalar fold round alike: bitwise equal
     # a_2 + alpha_2 rounds above 1: only the snapped image of t = 1 stays in [0, 1]
     overshoot = dict(a=(0.3, 0.7000000000001), d=(0.5, 0.5), beta=(0, 0.5))
-    systems = [random_system(rng) for _ in range(8)] + [
-        SimilaritySystem(c=(0, 0), **overshoot),
-        SimilaritySystem(c=(0.5, -0.25), **overshoot),
-        CANTOR,
+    # a_2 = 0.01: the left end of 2^9 rounds to 1.0, and depth 10 images it
+    snap = SimilaritySystem(a=(0.99, 0.01), c=(0.3, -0.1), d=(0.5, 0.4), beta=(0.1, 0.2))
+    assert mesh_code_values(snap, boundary_anchors(snap), 9)[0][-1] == 1.0
+    # a_2 + alpha_2 rounds above 1 and the left end of 2^7 to 1.0: only the
+    # snap keeps the left end of 2^8 at 1
+    snap_over = SimilaritySystem(
+        a=(0.99, 0.01000000000001), c=(0.3, -0.1), d=(0.5, 0.4), beta=(0.1, 0.2)
+    )
+    assert mesh_code_values(snap_over, boundary_anchors(snap_over), 7)[0][-1] == 1.0
+    systems = [(random_system(rng), 3) for _ in range(8)] + [
+        (SimilaritySystem(c=(0, 0), **overshoot), 3),
+        (SimilaritySystem(c=(0.5, -0.25), **overshoot), 3),
+        (SimilaritySystem(c=(0.5, -0.25), **overshoot), 8),
+        (CANTOR, 3),
+        (snap, 9),
+        (snap, 10),
+        (snap_over, 8),
     ]
-    for system in systems:
+    for system, m in systems:
         anc = boundary_anchors(system)
-        m = 3
         xL, vL, xR, vR = mesh_code_values(system, anc, m)
         words = itertools.product(range(1, system.n + 1), repeat=m)
         for i, w in enumerate(words):
